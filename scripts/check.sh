@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 check: compile sweep, tracked-bytecode guard, full test suite,
-# then the static verification gate (protocol model checker + structural
-# checks + simulation-safety linter; see docs/VERIFY.md).
+# the benchmark's own tests, then the static verification gate (protocol
+# model checker + structural checks + simulation-safety linter; see
+# docs/VERIFY.md).
 #
 # Usage: scripts/check.sh [extra pytest args]
 # e.g.:  scripts/check.sh -m telemetry
@@ -23,6 +24,13 @@ fi
 
 echo "== pytest =="
 python -m pytest -x -q "$@"
+
+echo "== benchmark self-tests (fireflybench) =="
+# The benchmark's own suite (testpaths leaves it out of the run above):
+# its layer map must claim every src/repro module exactly once, its
+# workloads must reproduce their pinned figures, and each accounting
+# identity check must name a broken identity (fireflybench/README.md).
+python -m pytest -q fireflybench
 
 echo "== static verification (firefly-sim verify) =="
 python -m repro.cli verify --all-protocols

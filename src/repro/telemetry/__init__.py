@@ -3,8 +3,11 @@
 The observability layer the paper's authors had in hardware (event
 counters and a logic analyser) rebuilt for the simulator:
 
+- :mod:`repro.telemetry.catalog` — the event catalogue: every event
+  name with the probe categories that emit it, its phase and its args;
 - :mod:`repro.telemetry.probe` — typed, timestamped events emitted by
-  the bus, caches, scheduler and devices, near-free when disabled;
+  the bus, caches, scheduler and devices, near-free when nobody reads
+  them;
 - :mod:`repro.telemetry.sampler` — periodic ring-buffered snapshots of
   bus load, TPI, miss rate and run-queue depth;
 - :mod:`repro.telemetry.export` — ``chrome://tracing`` JSON and JSONL;

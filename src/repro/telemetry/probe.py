@@ -16,9 +16,11 @@ branch::
     if self.probe.active:
         self.probe.complete("bus.op", "bus", start, cycles, op=op.value)
 
-``NULL_PROBE.active`` is permanently ``False`` and a hub's probes go
-inactive when the hub is disabled, so no event object is ever
-allocated unless someone asked for telemetry.
+``NULL_PROBE.active`` is permanently ``False``, and a hub's probe is
+live only while someone reads its category: the hub buffers events, or
+a subscriber's prefix matches a name the event catalogue
+(:mod:`repro.telemetry.catalog`) declares for it.  No event object is
+ever allocated unless someone asked for it.
 
 Event taxonomy and exporters are documented in ``docs/TELEMETRY.md``.
 """
@@ -27,11 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-INSTANT = "i"
-"""A point event (Chrome trace phase ``i``)."""
-
-COMPLETE = "X"
-"""A duration event with an explicit start and length (phase ``X``)."""
+from repro.common.errors import ConfigurationError
+from repro.telemetry.catalog import CATEGORY_EVENTS, COMPLETE, INSTANT
 
 
 class TelemetryEvent:
@@ -90,18 +89,22 @@ NULL_PROBE = _NullProbe()
 class Probe:
     """A component's handle for emitting events into a hub.
 
-    ``active`` mirrors the hub's enabled flag; emit sites must guard on
-    it so the disabled path allocates nothing.
+    ``active`` says whether anyone reads the probe's category (see
+    :meth:`TelemetryHub.probe_active`); emit sites must guard on it so
+    the unread path allocates nothing.  ``routes`` maps each event name
+    the catalogue declares for the category to the subscribers that
+    receive it; the hub keeps both current.
     """
 
-    __slots__ = ("category", "hub", "active", "track_prefix")
+    __slots__ = ("category", "hub", "active", "track_prefix", "routes")
 
     def __init__(self, category: str, hub: "TelemetryHub",
                  track_prefix: str = "") -> None:
         self.category = category
         self.hub = hub
-        self.active = hub.probe_active(category)
         self.track_prefix = track_prefix
+        self.active = hub.probe_active(category)
+        self.routes = hub.routes(category)
 
     def instant(self, name: str, track: str, **args) -> None:
         """Emit a point event stamped at the hub's current time."""
@@ -109,14 +112,14 @@ class Probe:
         if self.track_prefix:
             track = self.track_prefix + track
         hub.record(TelemetryEvent(name, hub.now(), track, INSTANT, 0,
-                                  tuple(args.items())))
+                                  tuple(args.items())), self)
 
     def instant_at(self, name: str, track: str, time: int, **args) -> None:
         """Emit a point event at an explicit (earlier) timestamp."""
         if self.track_prefix:
             track = self.track_prefix + track
         self.hub.record(TelemetryEvent(name, time, track, INSTANT, 0,
-                                       tuple(args.items())))
+                                       tuple(args.items())), self)
 
     def complete(self, name: str, track: str, start: int, duration: int,
                  **args) -> None:
@@ -124,7 +127,7 @@ class Probe:
         if self.track_prefix:
             track = self.track_prefix + track
         self.hub.record(TelemetryEvent(name, start, track, COMPLETE,
-                                       duration, tuple(args.items())))
+                                       duration, tuple(args.items())), self)
 
 
 Subscriber = Callable[[TelemetryEvent], None]
@@ -141,6 +144,8 @@ class TelemetryHub:
     max_events:
         Buffer bound; events beyond it are counted in ``dropped``
         rather than stored, so a runaway run cannot exhaust memory.
+        ``0`` makes a *streaming* hub: it stores nothing, and its probes
+        are live only for categories some subscriber reads.
     """
 
     def __init__(self, sim, max_events: int = 500_000) -> None:
@@ -153,6 +158,8 @@ class TelemetryHub:
         self._categories: Optional[frozenset] = None
         self._probes: Dict[Tuple[str, str], Probe] = {}
         self._subscribers: List[Tuple[str, Subscriber]] = []
+        self._routes: Dict[str, Dict[str, Tuple[Subscriber, ...]]] = {}
+        self._reroute()
 
     # -- registry ------------------------------------------------------
 
@@ -171,14 +178,27 @@ class TelemetryHub:
         return probe
 
     def probe_active(self, category: str) -> bool:
-        """Whether a probe of ``category`` should currently be live."""
+        """Whether a probe of ``category`` should currently be live.
+
+        It is when the hub is enabled, :meth:`enable_only` admits the
+        category, and someone reads it: the hub buffers events, or a
+        subscriber's prefix matches a name the catalogue declares for
+        the category.  Subscribing, unsubscribing, :meth:`enable_only`
+        and ``enabled`` re-evaluate every handed-out probe.
+        """
         if not self._enabled:
             return False
-        return self._categories is None or category in self._categories
+        if self._categories is not None and category not in self._categories:
+            return False
+        return self.max_events > 0 or any(self.routes(category).values())
+
+    def routes(self, category: str) -> Dict[str, Tuple[Subscriber, ...]]:
+        """Catalogued event name -> subscribers, for one probe category."""
+        return self._routes.get(category, {})
 
     @property
     def enabled(self) -> bool:
-        """Whether probes handed out by this hub are live."""
+        """Whether this hub's probes may be live (``False`` darkens all)."""
         return self._enabled
 
     @enabled.setter
@@ -197,9 +217,20 @@ class TelemetryHub:
         self._categories = None if categories is None else frozenset(categories)
         self._refresh_probes()
 
+    def _reroute(self) -> None:
+        """Rebuild the per-category routes, then refresh every probe."""
+        subscribers = self._subscribers
+        self._routes = {
+            category: {name: tuple(fn for prefix, fn in subscribers
+                                   if name.startswith(prefix))
+                        for name in names}
+            for category, names in CATEGORY_EVENTS.items()}
+        self._refresh_probes()
+
     def _refresh_probes(self) -> None:
         for (category, _prefix), probe in self._probes.items():
             probe.active = self.probe_active(category)
+            probe.routes = self.routes(category)
 
     # -- event flow ----------------------------------------------------
 
@@ -207,26 +238,49 @@ class TelemetryHub:
         """The current simulation time."""
         return self.sim.now
 
-    def record(self, event: TelemetryEvent) -> None:
-        """Buffer one event and deliver it to matching subscribers."""
+    def record(self, event: TelemetryEvent, probe: Probe) -> None:
+        """Buffer one event from ``probe`` and deliver it to subscribers.
+
+        Raises :class:`ConfigurationError` when the catalogue does not
+        declare the event's name for the probe's category: a subscriber
+        relying on a wrong entry would otherwise silently miss events
+        once that probe goes dark.
+        """
+        try:
+            subscribers = probe.routes[event.name]
+        except KeyError:
+            raise ConfigurationError(
+                f"telemetry event {event.name!r} is not catalogued for "
+                f"probe category {probe.category!r}; declare it in "
+                f"repro.telemetry.catalog") from None
         self.emitted += 1
         if len(self.events) < self.max_events:
             self.events.append(event)
         else:
             self.dropped += 1
-        for prefix, fn in self._subscribers:
-            if event.name.startswith(prefix):
-                fn(event)
+        for fn in subscribers:
+            fn(event)
 
     def subscribe(self, fn: Subscriber, prefix: str = "") -> Subscriber:
-        """Call ``fn(event)`` for every event whose name has ``prefix``."""
+        """Call ``fn(event)`` for every event whose name has ``prefix``.
+
+        Probes of every category with a catalogued name under ``prefix``
+        go live.
+        """
         self._subscribers.append((prefix, fn))
+        self._reroute()
         return fn
 
     def unsubscribe(self, fn: Subscriber) -> None:
-        """Remove every subscription of ``fn`` (no-op if absent)."""
+        """Remove every subscription of ``fn`` (no-op if absent).
+
+        Subscriptions match by equality, so a bound method fetched anew
+        (``self._on_event``) still finds its own.  On a streaming hub,
+        probes no remaining subscriber reads go dark.
+        """
         self._subscribers = [(p, f) for p, f in self._subscribers
-                             if f is not fn]
+                             if f != fn]
+        self._reroute()
 
     # -- queries -------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 A cycle simulator's value rests on bit-identical reruns; the hazards
 that quietly destroy that property are always the same four, so they
-are linted for mechanically:
+are linted for mechanically, next to two vocabulary rules (V105,
+V106):
 
 ``V101 unseeded-random``
     Importing :mod:`random` (or ``numpy.random``) anywhere outside
@@ -37,6 +38,12 @@ are linted for mechanically:
     (Classes whose base is literally ``Protocol`` — i.e. ``typing.
     Protocol`` structural types — are not protocol implementations and
     are not flagged.)
+``V106 uncatalogued-event``
+    An ``instant`` / ``instant_at`` / ``complete`` call whose literal
+    event name is not declared in the event catalogue
+    (:mod:`repro.telemetry.catalog`).  The hub refuses such an event
+    only when the emit site runs with its probe live; the lint finds it
+    without running anything.
 
 False positives are silenced per line with ``# lint: allow(V1xx)``
 (deliberate, reviewed exceptions — e.g. a test helper corrupting state
@@ -50,6 +57,8 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.telemetry.catalog import EVENTS
 
 #: Paths (relative, substring match) exempt from a given rule.
 _RULE_PATH_EXEMPTIONS = {
@@ -70,6 +79,9 @@ _ORDERING_SINKS = {"sorted", "min", "max", "sum", "len", "any", "all"}
 
 #: The CoherenceProtocol handlers V105 refuses to see hand-written.
 _PROTOCOL_HANDLERS = ("read_miss", "write_hit", "write_miss", "snoop")
+
+#: Probe emit methods whose first argument V106 checks.
+_EMIT_METHODS = ("instant", "instant_at", "complete")
 
 
 @dataclass(frozen=True)
@@ -174,7 +186,7 @@ class _HazardVisitor(ast.NodeVisitor):
                        "repro.common.rng streams instead")
         self.generic_visit(node)
 
-    # -- V102: wall-clock reads ---------------------------------------
+    # -- V102: wall-clock reads / V106: uncatalogued events -------------
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_tail(node.func)
@@ -182,6 +194,12 @@ class _HazardVisitor(ast.NodeVisitor):
             self._flag(node, "V102",
                        f"wall-clock call {'.'.join(dotted)}(): simulated "
                        f"code must use the Simulator clock (sim.now)")
+        name = _emitted_event_name(node)
+        if name is not None and name not in EVENTS:
+            self._flag(node, "V106",
+                       f"telemetry event {name!r} is not in the event "
+                       f"catalogue: declare it in repro.telemetry.catalog "
+                       f"under the emitting probe's category")
         self.generic_visit(node)
 
     # -- V103: unordered iteration ------------------------------------
@@ -240,6 +258,16 @@ def _dotted_tail(func: ast.expr) -> Optional[Tuple[str, str]]:
         return (func.value.attr, func.attr)
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         return (func.value.id, func.attr)
+    return None
+
+
+def _emitted_event_name(call: ast.Call) -> Optional[str]:
+    """The literal event name of a probe emit call, else None."""
+    if (isinstance(call.func, ast.Attribute)
+            and call.func.attr in _EMIT_METHODS and call.args
+            and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)):
+        return call.args[0].value
     return None
 
 

@@ -149,6 +149,43 @@ class TestV105HandWrittenProtocol:
         assert rules_in(source) == []
 
 
+class TestV106UncataloguedEvent:
+    def test_every_emit_method_is_checked(self):
+        assert rules_in('probe.instant("bus.opp", "bus")\n') == ["V106"]
+        assert rules_in('p.instant_at("sched.redy", "sched", 5)\n') == [
+            "V106"]
+        assert rules_in('p.complete("dma.bursts", "qbus", 0, 4)\n') == [
+            "V106"]
+
+    def test_catalogued_and_computed_names_are_fine(self):
+        assert rules_in('probe.complete("bus.op", "bus", 0, 4)\n') == []
+        assert rules_in('probe.instant(name, "bus")\n') == []
+        assert rules_in('probe.instant()\n') == []
+
+    def test_finding_names_the_event(self):
+        findings = lint_source('probe.instant("gpu.launch", "gpu")\n',
+                               "module.py")
+        assert [f.rule for f in findings] == ["V106"]
+        assert "'gpu.launch'" in findings[0].message
+
+    def test_mutated_emit_site_is_caught(self):
+        """Rename a real emit in mbus.py: the lint names its line."""
+        path = REPO_ROOT / "src" / "repro" / "bus" / "mbus.py"
+        source = path.read_text(encoding="utf-8")
+        assert '"bus.grant"' in source
+        mutant = source.replace('"bus.grant"', '"bus.granted"')
+        line = next(number for number, text
+                    in enumerate(mutant.splitlines(), start=1)
+                    if '"bus.granted"' in text)
+        findings = lint_source(mutant, "src/repro/bus/mbus.py")
+        assert [(f.rule, f.line) for f in findings] == [("V106", line)]
+        assert lint_source(source, "src/repro/bus/mbus.py") == []
+
+    def test_pragma_escape(self):
+        source = 'probe.instant("x.y", "t")  # lint: allow(V106)\n'
+        assert rules_in(source) == []
+
+
 class TestPragmas:
     def test_allow_pragma_suppresses_on_its_line(self):
         source = "import random  # lint: allow(V101)\n"
