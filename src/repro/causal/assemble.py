@@ -48,8 +48,9 @@ finalises any leftovers (flagged ``complete=False``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from math import inf
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.common.stats import Histogram
@@ -137,7 +138,7 @@ class RequestTracer:
         # Raw evidence, pruned as requests finalise.
         self._slices: Dict[int, List[Tuple[int, int, int, str]]] = {}
         self._ready: Dict[int, List[int]] = {}
-        self._bus: Dict[int, Deque[Tuple[int, int, int]]] = {}
+        self._bus: Dict[int, List[Tuple[int, int, int]]] = {}
         self._pending: List[RequestRecord] = []
         self._links: Deque[Tuple[str, Tuple]] = deque(maxlen=_MAX_LINKS)
 
@@ -185,11 +186,15 @@ class RequestTracer:
         wait = args.get("wait", 0)
         ring = self._bus.get(initiator)
         if ring is None:
-            ring = deque(maxlen=_MAX_BUS_OPS_PER_CPU)
-            self._bus[initiator] = ring
-        # (request, grant, release): arbitration wait then transfer.
-        ring.append((event.time - wait, event.time,
-                     event.time + event.duration))
+            ring = self._bus[initiator] = []
+        elif len(ring) >= 2 * _MAX_BUS_OPS_PER_CPU:
+            # Trim in bulk; _bus_overlap reads only the newest ops.
+            del ring[:-_MAX_BUS_OPS_PER_CPU]
+        # (release, request, grant): arbitration wait then transfer.
+        # The MBus grants one operation at a time and the event is
+        # emitted on release, so a ring is in release order.
+        ring.append((event.time + event.duration, event.time - wait,
+                     event.time))
 
     def _on_request(self, event: TelemetryEvent) -> None:
         args = dict(event.args)
@@ -327,16 +332,20 @@ class RequestTracer:
 
         Intervals are swept so overlapping ops (e.g. a prefetch racing
         the demand stream) never double-count a cycle; where wait and
-        transfer overlap, transfer wins.
+        transfer overlap, transfer wins.  Only the newest
+        ``_MAX_BUS_OPS_PER_CPU`` ops count, and since the ring is in
+        release order the scan starts at the first one released after
+        ``a``.
         """
         ops = self._bus.get(cpu)
         if not ops:
             return 0, 0
+        first = bisect_right(ops, (a, inf),
+                             max(0, len(ops) - _MAX_BUS_OPS_PER_CPU))
         waits: List[Tuple[int, int]] = []
         xfers: List[Tuple[int, int]] = []
-        for (req, grant, release) in ops:
-            if release <= a:
-                continue
+        for index in range(first, len(ops)):
+            release, req, grant = ops[index]
             if req >= b:
                 break
             w0, w1 = max(req, a), min(grant, b)

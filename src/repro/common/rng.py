@@ -21,6 +21,9 @@ from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 
+#: Uniforms one bulk draw holds at once; bounds peak memory, not results.
+DEFAULT_CHUNK = 65_536
+
 
 class RandomStream:
     """A named, seeded pseudo-random stream (wraps :mod:`random.Random`).
@@ -35,15 +38,21 @@ class RandomStream:
     - ``randint(lo, hi)`` is ``lo + _randbelow(hi - lo + 1)``, which is
       precisely what ``Random.randrange`` computes after its (pure,
       draw-free) argument validation;
-    - ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, ditto.
+    - ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, ditto;
+    - ``count_below(n, p)`` runs the same Mersenne Twister in numpy
+      (``MT19937``) from this stream's own 624-word state and position:
+      the legacy ``RandomState.random_sample`` builds each double from
+      two words exactly as ``random()`` does, ``((a >> 5) * 2**26 +
+      (b >> 6)) / 2**53``, and the final state is written back, so the
+      count and every later draw equal ``n`` calls to ``random()``.
 
-    Bulk float draws are available via :meth:`random_block` /
-    :meth:`take_block`; see those docstrings for when batching is
-    sound.
+    Bulk float draws are :meth:`random_block` (the reference) and
+    :meth:`count_below` (the kernel); see those docstrings for when
+    batching is sound.
     """
 
     __slots__ = ("name", "_rng", "random", "shuffle", "_randbelow",
-                 "_expovariate", "_block", "_block_pos")
+                 "_expovariate")
 
     def __init__(self, root_seed: int, name: str) -> None:
         self.name = name
@@ -58,8 +67,6 @@ class RandomStream:
         self.shuffle = rng.shuffle
         self._randbelow = rng._randbelow
         self._expovariate = rng.expovariate
-        self._block: list = []
-        self._block_pos = 0
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -110,30 +117,39 @@ class RandomStream:
         draw = self.random
         return [draw() for _ in range(n)]
 
-    def take_block(self, chunk: int = 256) -> float:
-        """Incremental consumption of block-drawn floats.
+    def count_below(self, n: int, p: float,
+                    chunk: int = DEFAULT_CHUNK) -> int:
+        """How many of the stream's next ``n`` uniforms fall below ``p``.
 
-        Returns the next float of an internally buffered
-        :meth:`random_block`, refilling ``chunk`` draws at a time.  The
-        caller owns the soundness argument: between a refill and the
-        last buffered draw being consumed, the stream must see no
-        ``getrandbits``-backed call (``randint``/``choice``/
-        ``shuffle``), or ordering diverges from the unbatched stream.
-        (The calibrated reference sources interleave ``randint`` and
-        ``choice`` data-dependently, which is why they pre-bind methods
-        instead of buffering — see docs/PERFORMANCE.md.)
+        Equal to ``sum(draw < p for draw in self.random_block(n))``, and
+        leaves the stream where those ``n`` draws would, but draws them
+        in numpy's ``MT19937`` (see the class docstring), ``chunk`` at a
+        time; ``chunk`` bounds peak memory, not results.  Sound where
+        :meth:`random_block` is.
         """
-        if self._block_pos >= len(self._block):
-            self._block = self.random_block(chunk)
-            self._block_pos = 0
-        value = self._block[self._block_pos]
-        self._block_pos += 1
-        return value
+        if n < 0:
+            raise ConfigurationError(f"draw count must be >= 0, got {n}")
+        if chunk < 1:
+            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
+        from numpy import array, count_nonzero, uint32
+        from numpy.random import MT19937, RandomState
 
-    @property
-    def buffered_draws(self) -> int:
-        """Block draws consumed from the source but not yet handed out."""
-        return len(self._block) - self._block_pos
+        version, internal, gauss_next = self._rng.getstate()
+        bitgen = MT19937(0)  # a fixed seed, overwritten at once
+        bitgen.state = {"bit_generator": "MT19937",
+                        "state": {"key": array(internal[:-1], dtype=uint32),
+                                  "pos": internal[-1]}}
+        sample = RandomState(bitgen).random_sample
+        count = 0
+        while n > 0:
+            size = min(chunk, n)
+            count += int(count_nonzero(sample(size) < p))
+            n -= size
+        state = bitgen.state["state"]
+        self._rng.setstate(
+            (version, tuple(state["key"].tolist()) + (state["pos"],),
+             gauss_next))
+        return count
 
 
 class StreamFactory:

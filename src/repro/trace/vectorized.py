@@ -14,11 +14,14 @@ open queueing model (:mod:`repro.analytic.queueing`):
    counts come from the paper's mix via the same ``floor(n * rate)``
    totals the :class:`~repro.common.rng.FractionalAccumulator` error
    diffusion produces, and every reference makes one uniform draw per
-   stochastic decision — miss?, victim dirty?, write shared? — through
-   ``random_block`` (PR-5's element-identical bulk path).  The numpy
-   backend and the pure-Python backend consume *the same draws in the
-   same order* and reduce them to *integer counts*, so their results
-   are bit-identical; numpy only accelerates the reduction.
+   stochastic decision — miss?, victim dirty?, write shared? — and
+   only the count below each probability is kept.  The numpy backend
+   draws and counts them in numpy's Mersenne Twister
+   (:meth:`~repro.common.rng.RandomStream.count_below`, loaded from
+   and written back to the stream); the pure-Python backend, the
+   reference, draws them with ``random_block``.  Both consume *the
+   same draws in the same order* and reduce them to *integer counts*,
+   so their results are bit-identical.
 
 2. **Closed-form bus service.**  Bus occupancy is accumulated in
    closed form — ``bus_op_ticks * (misses + dirty victims + shared
@@ -46,22 +49,19 @@ from typing import Dict, Optional
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.common.errors import ConfigurationError
-from repro.common.rng import RandomStream
+from repro.common.rng import DEFAULT_CHUNK, RandomStream
 
-try:  # numpy accelerates the draw reduction; the container bakes it in,
-    import numpy as _np  # but the pure-Python path is always available.
+try:  # the numpy backend draws in numpy; the python backend needs none
+    import numpy as _np
 except ImportError:  # pragma: no cover - exercised via backend="python"
     _np = None
 
-#: Draws per ``random_block`` refill; bounds peak memory, not results.
-DEFAULT_CHUNK = 65_536
-
-#: The two reduction backends (identical results, different hosts).
+#: The two draw backends (identical results, different speeds).
 BACKENDS = ("numpy", "python")
 
 
 def numpy_available() -> bool:
-    """Whether the numpy reduction backend can be selected."""
+    """Whether the numpy backend can be selected."""
     return _np is not None
 
 
@@ -128,23 +128,18 @@ def _resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
-def _count_below(stream: RandomStream, draws: int, p: float,
-                 chunk: int, use_numpy: bool) -> int:
-    """How many of the next ``draws`` uniforms fall below ``p``.
+def _count_below_reference(stream: RandomStream, draws: int, p: float,
+                           chunk: int) -> int:
+    """The pure-Python backend's count: ``random_block`` draws, ``<``.
 
-    Both backends consume exactly ``draws`` floats from the stream in
-    block order and compare with the same ``<`` predicate, so the count
-    — and every stream draw after it — is backend-independent.
+    :meth:`RandomStream.count_below` (the numpy backend) must equal it
+    for every stream, count and probability.
     """
-    remaining = draws
     count = 0
-    while remaining > 0:
-        block = stream.random_block(min(chunk, remaining))
-        remaining -= len(block)
-        if use_numpy:
-            count += int((_np.asarray(block) < p).sum())
-        else:
-            count += sum(1 for draw in block if draw < p)
+    while draws > 0:
+        block = stream.random_block(min(chunk, draws))
+        draws -= len(block)
+        count += sum(1 for draw in block if draw < p)
     return count
 
 
@@ -184,7 +179,8 @@ def run_vectorized(processors: int, instructions: int, seed: int,
     if chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
     backend = _resolve_backend(backend)
-    use_numpy = backend == "numpy"
+    count_below = (RandomStream.count_below if backend == "numpy"
+                   else _count_below_reference)
     params = params or AnalyticParameters()
     mix = params.mix
 
@@ -202,13 +198,12 @@ def run_vectorized(processors: int, instructions: int, seed: int,
         # Draw order is part of the contract: miss draws for every
         # reference, then one dirty draw per miss, then one shared draw
         # per data write — fixed counts, so both backends stay aligned.
-        cpu_misses = _count_below(stream, refs_per_cpu, params.miss_rate,
-                                  chunk, use_numpy)
-        cpu_dirty = _count_below(stream, cpu_misses, params.dirty_fraction,
-                                 chunk, use_numpy)
-        cpu_shared = _count_below(stream, dwrites,
-                                  params.shared_write_fraction,
-                                  chunk, use_numpy)
+        cpu_misses = count_below(stream, refs_per_cpu, params.miss_rate,
+                                 chunk)
+        cpu_dirty = count_below(stream, cpu_misses, params.dirty_fraction,
+                                chunk)
+        cpu_shared = count_below(stream, dwrites,
+                                 params.shared_write_fraction, chunk)
         references += refs_per_cpu
         misses += cpu_misses
         dirty_victims += cpu_dirty

@@ -6,7 +6,9 @@ are linted for mechanically, next to two vocabulary rules (V105,
 V106):
 
 ``V101 unseeded-random``
-    Importing :mod:`random` (or ``numpy.random``) anywhere outside
+    Importing :mod:`random` or ``numpy.random`` (``import numpy.random``,
+    ``from numpy import random``, ``from numpy.random import ...``), or
+    reaching it as ``np.random.<name>``, anywhere outside
     :mod:`repro.common.rng`.  Every stochastic component must draw
     from its own named, seeded :class:`~repro.common.rng.RandomStream`
     so adding a component never perturbs existing draws.
@@ -79,6 +81,9 @@ _ORDERING_SINKS = {"sorted", "min", "max", "sum", "len", "any", "all"}
 
 #: The CoherenceProtocol handlers V105 refuses to see hand-written.
 _PROTOCOL_HANDLERS = ("read_miss", "write_hit", "write_miss", "snoop")
+
+#: Names V101 takes for numpy even without an ``import numpy as``.
+_NUMPY_NAMES = ("numpy", "np")
 
 #: Probe emit methods whose first argument V106 checks.
 _EMIT_METHODS = ("instant", "instant_at", "complete")
@@ -163,6 +168,7 @@ class _HazardVisitor(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
         self.findings: List[LintFinding] = []
+        self._numpy_names = set(_NUMPY_NAMES)
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(LintFinding(
@@ -170,20 +176,41 @@ class _HazardVisitor(ast.NodeVisitor):
 
     # -- V101: unseeded randomness ------------------------------------
 
+    def visit_Module(self, node: ast.Module) -> None:
+        # Names numpy is bound to, so `np.random.<name>` is caught under
+        # any alias (and under the conventional ones without an import).
+        self._numpy_names = set(_NUMPY_NAMES) | {
+            alias.asname for sub in ast.walk(node)
+            if isinstance(sub, ast.Import) for alias in sub.names
+            if alias.name == "numpy" and alias.asname}
+        self.generic_visit(node)
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             root = alias.name.split(".")[0]
-            if root == "random" or alias.name == "numpy.random":
+            if root == "random" or _is_numpy_random(alias.name):
                 self._flag(node, "V101",
                            f"import of {alias.name!r}: draw from the seeded "
                            f"repro.common.rng streams instead")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.module.split(".")[0] == "random":
+        module = node.module or ""
+        if module == "numpy" and any(alias.name == "random"
+                                     for alias in node.names):
+            module = "numpy.random"
+        if module.split(".")[0] == "random" or _is_numpy_random(module):
             self._flag(node, "V101",
-                       "import from 'random': draw from the seeded "
-                       "repro.common.rng streams instead")
+                       f"import from {module!r}: draw from the seeded "
+                       f"repro.common.rng streams instead")
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in self._numpy_names):
+            self._flag(node, "V101",
+                       f"use of {node.value.id}.random: draw from the "
+                       f"seeded repro.common.rng streams instead")
         self.generic_visit(node)
 
     # -- V102: wall-clock reads / V106: uncatalogued events -------------
@@ -249,6 +276,10 @@ class _HazardVisitor(ast.NodeVisitor):
                        "FSM; route the change through the protocol (or mark "
                        "a deliberate test corruption with a pragma)")
         self.generic_visit(node)
+
+
+def _is_numpy_random(module: str) -> bool:
+    return module == "numpy.random" or module.startswith("numpy.random.")
 
 
 def _dotted_tail(func: ast.expr) -> Optional[Tuple[str, str]]:

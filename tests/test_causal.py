@@ -23,6 +23,7 @@ import pytest
 from repro.causal import (FlightRecorder, LOW_RATE_CATEGORIES,
                           ContextAllocator, RequestTracer, SEGMENTS,
                           trace_requests)
+from repro.causal.assemble import _union_length
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.events import Simulator
 from repro.telemetry import TelemetryHub, chrome_trace
@@ -332,6 +333,64 @@ class TestExactSum:
             "backoff": 0, "hedge_wait": 0,
         }
         assert sum(record.segments.values()) == record.turnaround == 500
+
+
+def _unbounded_bus_overlap(ops, a, b):
+    """The scan ``_bus_overlap`` replaced: every op from the oldest."""
+    waits, xfers = [], []
+    for (req, grant, release) in ops:
+        if release <= a:
+            continue
+        if req >= b:
+            break
+        if min(grant, b) > max(req, a):
+            waits.append((max(req, a), min(grant, b)))
+        if min(release, b) > max(grant, a):
+            xfers.append((max(grant, a), min(release, b)))
+    xfer_total = _union_length(xfers)
+    return _union_length(waits + xfers) - xfer_total, xfer_total
+
+
+class TestBusOverlapScan:
+    def test_matches_the_unbounded_scan_on_a_long_random_ring(
+            self, monkeypatch):
+        """Ops serialised like the MBus's (release order), requests out
+        of order (a prefetch queued behind the demand stream), and a
+        ring cap small enough to trim many times."""
+        import random
+        from collections import deque
+
+        from repro.causal import assemble
+
+        cap = 257
+        monkeypatch.setattr(assemble, "_MAX_BUS_OPS_PER_CPU", cap)
+        gen = random.Random(1987)
+        hub = TelemetryHub(Simulator(), max_events=0)
+        tracer = RequestTracer(hub)
+        bus = hub.probe("bus")
+        reference = deque(maxlen=cap)
+        request = free = 0
+        for _ in range(3_000):
+            request = max(0, request + gen.randint(-15, 40))
+            grant = max(request, free) + gen.randint(0, 6)
+            release = free = grant + gen.choice((2, 2, 4))
+            bus.complete("bus.op", "bus", grant, release - grant,
+                         initiator=0, wait=grant - request)
+            reference.append((request, grant, release))
+            for _ in range(3):
+                a = gen.randint(max(0, release - 20_000), release)
+                b = a + gen.randint(0, 400)
+                assert tracer._bus_overlap(0, a, b) \
+                    == _unbounded_bus_overlap(reference, a, b), (a, b)
+
+    def test_real_rings_are_in_release_order(self):
+        kernel = build_exerciser(4, ExerciserParams(threads=8), seed=1987)
+        hub, tracer = trace_requests(kernel)
+        kernel.run(warmup_cycles=10_000, measure_cycles=30_000)
+        assert tracer._bus
+        for ring in tracer._bus.values():
+            releases = [release for (release, _req, _grant) in ring]
+            assert releases == sorted(releases)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ Three contracts from docs/PERFORMANCE.md:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analytic.queueing import AnalyticParameters
@@ -34,6 +36,16 @@ class TestBackendIdentity:
         assert p.pop("backend") == "python"
         assert n == p
         assert numpy.ticks == python.ticks
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @pytest.mark.parametrize("processors", (2, 4, 6))
+    def test_backends_agree_at_the_table1_operating_points(self,
+                                                            processors):
+        """The benchmark's ``table1-vector`` runs: 400 K instructions
+        per CPU at seed 1987, about 1.2 M draws per CPU."""
+        numpy = run_vectorized(processors, 400_000, 1987, backend="numpy")
+        python = run_vectorized(processors, 400_000, 1987, backend="python")
+        assert numpy == replace(python, backend="numpy")
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_chunk_size_never_changes_results(self):
@@ -83,8 +95,6 @@ class TestStatistics:
         """The acceptance gate: vectorized (M, D, S) and derived
         load/TPI/RP match the coroutine machine inside the
         DivergenceMonitor's noise bands."""
-        from dataclasses import replace
-
         from repro.system import FireflyConfig, FireflyMachine
 
         machine = FireflyMachine(FireflyConfig(processors=2, seed=1987))

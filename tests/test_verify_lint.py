@@ -31,12 +31,35 @@ class TestV101UnseededRandom:
     def test_from_random_import(self):
         assert rules_in("from random import shuffle\n") == ["V101"]
 
+    def test_from_numpy_import_random(self):
+        assert rules_in("from numpy import random\n") == ["V101"]
+        assert rules_in("from numpy import array, random as npr\n") \
+            == ["V101"]
+
+    def test_from_numpy_random_import(self):
+        assert rules_in("from numpy.random import MT19937\n") == ["V101"]
+
+    def test_numpy_random_attribute(self):
+        assert rules_in("import numpy as np\nnp.random.MT19937()\n") \
+            == ["V101"]
+        assert rules_in("import numpy as xp\nxp.random.default_rng(1)\n") \
+            == ["V101"]
+        assert rules_in("from numpy import array\nstream.random()\n") \
+            == []
+
     def test_seeded_rng_module_is_fine(self):
         assert rules_in("from repro.common.rng import RandomStream\n") == []
 
     def test_rng_module_itself_is_exempt(self):
         assert rules_in("import random\n",
                         "src/repro/common/rng.py") == []
+
+    def test_rng_module_may_reach_numpy_random(self):
+        source = ("from numpy.random import MT19937\n"
+                  "from numpy import random\n"
+                  "np.random.MT19937(0)\n")
+        assert rules_in(source) == ["V101"] * 3
+        assert rules_in(source, "src/repro/common/rng.py") == []
 
 
 class TestV102WallClock:
