@@ -54,21 +54,25 @@ echo "== bench regression gate vs committed baseline =="
 # committed baselines are full-mode runs from a different host, so the
 # threshold is deliberately loose (the noise-aware margin widens it
 # further) — it catches order-of-magnitude scheduler breakage, not
-# single-digit host drift.  Heap engine smoke rides along, proving the
-# equivalence-oracle path stays runnable.
-python -m repro.cli bench --quick --trials 1 \
-    --scenario core-microbench --engine heap \
-    --skip-overhead --out-dir "$BENCH_TMP" >/dev/null
+# single-digit host drift.
 python -m repro.cli bench --quick --trials 1 \
     --scenario core-microbench --scenario vector-stat \
     --skip-overhead --out-dir "$BENCH_TMP" \
     --baseline-dir . --compare --threshold 0.6
 
-echo "== chaos smoke (firefly-sim chaos) =="
+echo "== chaos smoke + jobs parity (firefly-sim chaos --jobs 2) =="
 # One quick seeded fault campaign: proves every recovery path end to
-# end (see docs/FAULTS.md); exits nonzero if any scenario fails.
+# end (see docs/FAULTS.md); exits nonzero if any scenario fails.  Run
+# twice at different job counts and require byte-identical reports —
+# both go through the one trial pipeline.
+CHAOS_TMP=$(mktemp -d)
+trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP"' EXIT
 python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline
+    --scenario cpu-offline --jobs 2 --json "$CHAOS_TMP/chaos-j2.json"
+python -m repro.cli chaos --quick --scenario bus-parity \
+    --scenario cpu-offline --jobs 1 --json "$CHAOS_TMP/chaos-j1.json" \
+    >/dev/null
+cmp "$CHAOS_TMP/chaos-j2.json" "$CHAOS_TMP/chaos-j1.json"
 
 echo "== serve smoke + SLO gate (firefly-sim serve --jobs 2) =="
 # One quick open-loop serving scenario under the resilience layer: the
@@ -76,7 +80,7 @@ echo "== serve smoke + SLO gate (firefly-sim serve --jobs 2) =="
 # docs/SERVING.md).  Run twice at different job counts and require
 # byte-identical reports — the serving layer's determinism contract.
 SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP" "$SERVE_TMP"' EXIT
+trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP" "$SERVE_TMP"' EXIT
 SERVE_OUT="${ARTIFACTS_DIR:-$SERVE_TMP}/serve.json"
 python -m repro.cli serve --quick --scenario steady-poisson \
     --jobs 2 --json "$SERVE_OUT" --force
@@ -90,7 +94,7 @@ echo "== campaign smoke (firefly-sim campaign run + report) =="
 # the HTML dashboard over the committed BENCH trajectory plus that
 # ledger (see docs/CAMPAIGNS.md).
 CAMPAIGN_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP" "$SERVE_TMP" "$CAMPAIGN_TMP"' EXIT
+trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP" "$SERVE_TMP" "$CAMPAIGN_TMP"' EXIT
 python -m repro.cli campaign run examples/campaigns/quick.yaml \
     --jobs 2 --store-dir "$CAMPAIGN_TMP/store" \
     --report "$CAMPAIGN_TMP/report.json"

@@ -5,8 +5,10 @@ runs over CPU count, protocol and workload — and this package makes
 that a first-class, resumable artifact instead of a shell loop:
 
 - :mod:`repro.campaign.spec` — the ``firefly-campaign/1`` YAML/JSON
-  document: matrix groups (sweep / bench / chaos / probe), per-axis
-  expansion, exclusion rules, and pinned ``golden`` digests;
+  document: matrix groups of the six trial kinds (sweep / bench /
+  chaos / serve / vector / probe, declared in
+  :mod:`repro.observatory.trials`), per-axis expansion, exclusion
+  rules, and pinned ``golden`` digests;
 - :mod:`repro.campaign.store` — the append-only JSONL ledger keyed by
   content hashes of (kind, params, seed, git_sha), which is what makes
   ``firefly-sim campaign run`` resumable and its merged report
@@ -23,7 +25,6 @@ from repro.campaign.engine import (
     REPORT_SCHEMA,
     CampaignRun,
     build_report,
-    campaign_trial,
     check_golden,
     gc_campaign,
     golden_block,
@@ -31,7 +32,6 @@ from repro.campaign.engine import (
 )
 from repro.campaign.spec import (
     CAMPAIGN_SCHEMA,
-    TRIAL_KINDS,
     CampaignSpec,
     CampaignTrial,
     load_spec,
@@ -47,14 +47,12 @@ __all__ = [
     "CAMPAIGN_SCHEMA",
     "LEDGER_SCHEMA",
     "REPORT_SCHEMA",
-    "TRIAL_KINDS",
     "CampaignRun",
     "CampaignSpec",
     "CampaignStore",
     "CampaignTrial",
     "LedgerLoad",
     "build_report",
-    "campaign_trial",
     "check_golden",
     "gc_campaign",
     "golden_block",

@@ -6,10 +6,11 @@
    expands the matrix into content-keyed trials;
 2. the :class:`~repro.campaign.store.CampaignStore` ledger is loaded
    and every trial whose key already has a result is **skipped**;
-3. the remaining trials fan out through the deterministic executor
-   (:func:`repro.observatory.runner.run_ordered`), each completed
-   result appended durably to the ledger *as it is collected* — a
-   crash, Ctrl-C or failing trial loses at most the in-flight work;
+3. the remaining trials fan out through the trial pipeline
+   (:func:`repro.observatory.trials.run_trials`), each completed
+   result reduced to its kind's campaign data and appended durably to
+   the ledger *as it is collected* — a crash, Ctrl-C or failing trial
+   loses at most the in-flight work;
 4. the merged report is rebuilt from the ledger in matrix order.
 
 Because every trial is a pure function of its spec and seed, the
@@ -27,7 +28,6 @@ the digests, and any mismatch fails the campaign naming the exact
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,95 +35,9 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.provenance import content_hash, git_sha
 from repro.campaign.spec import CampaignSpec, CampaignTrial
 from repro.campaign.store import CampaignStore
+from repro.observatory.trials import TRIAL_KINDS, run_trials
 
 REPORT_SCHEMA = "firefly-campaign-report/1"
-
-
-# ---------------------------------------------------------------------------
-# the pool worker
-
-
-def campaign_trial(spec: Tuple[str, str, int, Dict]):
-    """Run one campaign trial: ``(kind, label, seed, params)``.
-
-    Module-level so it pickles by reference into worker processes.
-    Results are plain JSON-safe data: chaos outcomes are serialised in
-    the worker, bench trials drop their host wall-clock fields (the
-    campaign report must stay byte-deterministic).
-    """
-    kind, _label, seed, params = spec
-    if kind == "sweep":
-        from repro.observatory.runner import sweep_point
-
-        return sweep_point((params["processors"], params["protocol"],
-                            params["generation"], seed,
-                            params["warmup"], params["measure"]))
-    if kind == "bench":
-        from repro.observatory.runner import bench_trial
-
-        spec_tuple = (params["scenario"], params["quick"], seed)
-        if params.get("engine"):
-            # Engine rides in the worker spec; it never changes the
-            # simulated result (the equivalence contract), so trials
-            # with and without the axis stay digest-compatible.
-            spec_tuple += (params["engine"],)
-        record = bench_trial(spec_tuple)
-        return {"seed": record["seed"], "cycles": record["cycles"],
-                "metrics": record["metrics"]}
-    if kind == "chaos":
-        from repro.observatory.runner import chaos_scenario
-
-        outcome = chaos_scenario((params["scenario"], params["quick"],
-                                  seed))
-        return outcome.to_dict()
-    if kind == "serve":
-        from repro.observatory.runner import serve_scenario
-
-        outcome = serve_scenario((params["scenario"], params["quick"],
-                                  seed))
-        return outcome.to_dict()
-    if kind == "vector":
-        from repro.trace.vectorized import run_vectorized
-
-        result = run_vectorized(params["processors"],
-                                params["instructions"], seed,
-                                backend=params.get("backend"))
-        metrics = result.metrics()
-        # The backend is a host property (numpy present or not), and
-        # the counts are backend-identical by construction; drop it so
-        # the report and golden digests stay host-independent.
-        metrics.pop("backend", None)
-        return {"seed": seed, "cycles": result.ticks, "metrics": metrics}
-    if kind == "probe":
-        return _probe_trial(seed, params)
-    raise ConfigurationError(f"unknown trial kind {kind!r}")
-
-
-def _probe_trial(seed: int, params: Dict) -> Dict:
-    """The trivial self-test trial: a pure function of its seed.
-
-    ``fail_env`` names an environment variable holding a
-    comma-separated seed list; a listed seed raises, which is how the
-    resume tests kill a campaign mid-run without changing the spec
-    (and thus the trial keys) between the two runs.  ``spin`` adds
-    deterministic busy work so interrupt tests have time to interrupt.
-    """
-    fail_env = params.get("fail_env")
-    if fail_env:
-        listed = {part.strip()
-                  for part in os.environ.get(fail_env, "").split(",")
-                  if part.strip()}
-        if str(seed) in listed:
-            raise SimulationError(
-                f"probe fault injected for seed {seed} (via ${fail_env})")
-    value = seed * seed + params.get("offset", 0)
-    for _ in range(params.get("spin", 0)):
-        value = (value * 1103515245 + 12345) % (1 << 31)
-    return {"seed": seed, "value": value}
-
-
-def _describe(spec: Tuple[str, str, int, Dict]) -> str:
-    return spec[1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +94,18 @@ def run_campaign_spec(spec: CampaignSpec, store: CampaignStore,
                  f"running {len(pending)} (jobs={max(1, jobs or 1)})")
 
     if pending:
-        from repro.observatory.runner import run_ordered
-
         by_label = {trial.label: trial for trial in pending}
 
-        def persist(worker_spec, result) -> None:
-            trial = by_label[worker_spec[1]]
+        def persist(worker_spec, outcome) -> None:
+            trial = by_label[worker_spec.label]
+            result = TRIAL_KINDS[trial.kind].extract(outcome)
             store.append(spec.name, store.make_row(
                 spec.name, trial, sha, spec.spec_hash, result))
             if progress is not None:
                 progress(f"  done {trial.label}")
 
-        run_ordered([trial.worker_spec() for trial in pending],
-                    campaign_trial, jobs=jobs, describe=_describe,
-                    on_result=persist)
+        run_trials([trial.worker_spec() for trial in pending], jobs=jobs,
+                   on_result=persist)
 
     merged = store.load(spec.name).rows
     missing = [trial.label for trial in trials

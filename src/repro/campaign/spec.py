@@ -20,7 +20,6 @@ into ad-hoc CLI loops.  Top level::
       - kind: bench              # pinned observatory scenarios
         scenarios: [exerciser-1cpu]
         quick: true
-        engine: [wheel, heap]    # optional event-engine axis
       - kind: vector             # vectorized §5.2 statistical runs
         processors: [2, 4, 6]
         instructions: 100000
@@ -40,6 +39,9 @@ gets a deterministic human label plus a content-hashed key of
 ``(kind, params, seed, git_sha)`` — the resume identity used by the
 persistent ledger (:mod:`repro.campaign.store`).
 
+Each kind's keys, defaults, checks, axes and label are declared once,
+in :data:`repro.observatory.trials.TRIAL_KINDS`, the registry the
+``bench``, ``chaos``, ``serve`` and ``sweep`` subcommands read too.
 The ``probe`` kind is a deliberately trivial trial (a pure function of
 its seed) used by the resume/interrupt test-suite and by smoke
 campaigns; it can be told to fail for chosen seeds through an
@@ -52,26 +54,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError
 from repro.common.provenance import content_hash
+from repro.observatory.trials import (TrialSpec, check_seeds, expand_group,
+                                      validate_group)
 
 CAMPAIGN_SCHEMA = "firefly-campaign/1"
-
-#: The trial kinds a matrix group may declare.
-TRIAL_KINDS = ("sweep", "bench", "chaos", "serve", "vector", "probe")
-
-_COMMON_KEYS = {"kind", "seeds", "exclude"}
-_GROUP_KEYS = {
-    "sweep": _COMMON_KEYS | {"processors", "protocol", "generation",
-                             "warmup", "measure"},
-    "bench": _COMMON_KEYS | {"scenarios", "quick", "engine"},
-    "chaos": _COMMON_KEYS | {"scenarios", "quick"},
-    "serve": _COMMON_KEYS | {"scenarios", "quick"},
-    "vector": _COMMON_KEYS | {"processors", "instructions", "backend"},
-    "probe": _COMMON_KEYS | {"name", "offset", "fail_env", "spin"},
-}
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,10 @@ class CampaignTrial:
     params: Dict
     key: str
 
-    def worker_spec(self) -> Tuple:
+    def worker_spec(self) -> TrialSpec:
         """The picklable spec handed to the pool worker."""
-        return (self.kind, self.label, self.seed, dict(self.params))
+        return TrialSpec(self.kind, self.label, self.seed,
+                         dict(self.params))
 
 
 @dataclass
@@ -121,21 +112,21 @@ class CampaignSpec:
         """
         sha = git_sha or "unknown"
         trials: List[CampaignTrial] = []
-        seen: Dict[str, str] = {}
+        seen: Set[str] = set()
         for index, group in enumerate(self.groups):
-            for label, seed, params in _expand_group(group, self.seeds):
-                if label in seen:
+            for trial in expand_group(group, self.seeds):
+                if trial.label in seen:
                     raise ConfigurationError(
                         f"matrix[{index}] produces duplicate trial "
-                        f"{label!r}; merge the overlapping groups")
-                seen[label] = label
-                key = content_hash({"kind": group["kind"],
-                                    "params": params, "seed": seed,
-                                    "git_sha": sha})
-                trials.append(CampaignTrial(label=label,
-                                            kind=group["kind"],
-                                            seed=seed, params=params,
-                                            key=key))
+                        f"{trial.label!r}; merge the overlapping groups")
+                seen.add(trial.label)
+                key = content_hash({"kind": trial.kind,
+                                    "params": trial.params,
+                                    "seed": trial.seed, "git_sha": sha})
+                trials.append(CampaignTrial(label=trial.label,
+                                            kind=trial.kind,
+                                            seed=trial.seed,
+                                            params=trial.params, key=key))
         return trials
 
 
@@ -194,12 +185,12 @@ def parse_spec(data, source: str = "<spec>") -> CampaignSpec:
     description = data.get("description", "")
     if not isinstance(description, str):
         raise ConfigurationError(f"{source}: description must be a string")
-    seeds = _validate_seeds(data.get("seeds", [1987]), f"{source}: seeds")
+    seeds = check_seeds(data.get("seeds", [1987]), f"{source}: seeds")
     matrix = data.get("matrix")
     if not isinstance(matrix, list) or not matrix:
         raise ConfigurationError(
             f"{source}: matrix must be a non-empty list of trial groups")
-    groups = [_validate_group(group, f"{source}: matrix[{i}]")
+    groups = [validate_group(group, f"{source}: matrix[{i}]")
               for i, group in enumerate(matrix)]
     golden = _validate_golden(data.get("golden", {}), f"{source}: golden")
     spec = CampaignSpec(name=name, description=description, seeds=seeds,
@@ -213,17 +204,6 @@ def parse_spec(data, source: str = "<spec>") -> CampaignSpec:
     return spec
 
 
-def _validate_seeds(value, where: str) -> List[int]:
-    if not isinstance(value, list) or not value \
-            or not all(isinstance(s, int) and not isinstance(s, bool)
-                       for s in value):
-        raise ConfigurationError(f"{where} must be a non-empty list of "
-                                 f"integers")
-    if len(set(value)) != len(value):
-        raise ConfigurationError(f"{where} contains duplicate seeds")
-    return list(value)
-
-
 def _validate_golden(value, where: str) -> Dict[str, str]:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{where} must be a mapping of trial "
@@ -235,264 +215,3 @@ def _validate_golden(value, where: str) -> Dict[str, str]:
                 f"{where}: entry {label!r} must map a trial label to a "
                 f"'sha256:...' digest")
     return dict(value)
-
-
-def _validate_group(group, where: str) -> Dict:
-    if not isinstance(group, dict):
-        raise ConfigurationError(f"{where}: trial group must be a mapping")
-    kind = group.get("kind")
-    if kind not in TRIAL_KINDS:
-        raise ConfigurationError(
-            f"{where}: kind must be one of {', '.join(TRIAL_KINDS)}; "
-            f"got {kind!r}")
-    unknown = sorted(set(group) - _GROUP_KEYS[kind])
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown key(s) for kind {kind!r}: "
-            f"{', '.join(unknown)} (allowed: "
-            f"{', '.join(sorted(_GROUP_KEYS[kind]))})")
-    validated: Dict = {"kind": kind}
-    if "seeds" in group:
-        validated["seeds"] = _validate_seeds(group["seeds"],
-                                             f"{where}: seeds")
-    validator = {"sweep": _validate_sweep, "bench": _validate_bench,
-                 "chaos": _validate_chaos, "serve": _validate_serve,
-                 "vector": _validate_vector, "probe": _validate_probe}[kind]
-    validated.update(validator(group, where))
-    validated["exclude"] = _validate_exclude(group.get("exclude", []),
-                                             validated, where)
-    return validated
-
-
-def _as_list(value) -> List:
-    return list(value) if isinstance(value, list) else [value]
-
-
-def _validate_sweep(group: Dict, where: str) -> Dict:
-    from repro.cache.protocols import available_protocols
-    from repro.observatory.runner import SWEEP_MEASURE, SWEEP_WARMUP
-
-    processors = _as_list(group.get("processors", [1, 2, 3, 4, 5]))
-    if not processors or not all(isinstance(p, int) and p >= 1
-                                 for p in processors):
-        raise ConfigurationError(f"{where}: processors must be "
-                                 f"integer(s) >= 1")
-    protocols = [str(p) for p in _as_list(group.get("protocol",
-                                                    "firefly"))]
-    known = set(available_protocols())
-    bad = sorted(set(protocols) - known)
-    if bad:
-        raise ConfigurationError(
-            f"{where}: unknown protocol(s) {', '.join(bad)}; available: "
-            f"{', '.join(sorted(known))}")
-    generation = group.get("generation", "microvax")
-    if generation not in ("microvax", "cvax"):
-        raise ConfigurationError(f"{where}: generation must be "
-                                 f"'microvax' or 'cvax'")
-    warmup = group.get("warmup", SWEEP_WARMUP)
-    measure = group.get("measure", SWEEP_MEASURE)
-    for label, cycles in (("warmup", warmup), ("measure", measure)):
-        if not isinstance(cycles, int) or cycles < 0 \
-                or (label == "measure" and cycles < 1):
-            raise ConfigurationError(f"{where}: {label} must be a "
-                                     f"non-negative integer")
-    return {"processors": processors, "protocol": protocols,
-            "generation": generation, "warmup": warmup,
-            "measure": measure}
-
-
-def _validate_scenarios(group: Dict, where: str, names: List[str]) -> Dict:
-    scenarios = [str(s) for s in _as_list(group.get("scenarios", names))]
-    unknown = sorted(set(scenarios) - set(names))
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown scenario(s) {', '.join(unknown)}; "
-            f"pinned: {', '.join(names)}")
-    quick = group.get("quick", True)
-    if not isinstance(quick, bool):
-        raise ConfigurationError(f"{where}: quick must be a boolean")
-    return {"scenarios": scenarios, "quick": quick}
-
-
-def _validate_bench(group: Dict, where: str) -> Dict:
-    from repro.common.events import ENGINES
-    from repro.observatory.bench import scenario_names
-
-    validated = _validate_scenarios(group, where, scenario_names())
-    if "engine" in group:
-        # An explicit engine axis: cross-product like any other axis.
-        # Omitted entirely (the compatible default) the trials keep the
-        # worker's default engine and their pre-engine-era labels, so
-        # existing golden pins and ledger keys stay resolvable.
-        engines = [str(e) for e in _as_list(group["engine"])]
-        bad = sorted(set(engines) - set(ENGINES))
-        if bad:
-            raise ConfigurationError(
-                f"{where}: unknown engine(s) {', '.join(bad)}; "
-                f"known: {', '.join(ENGINES)}")
-        if len(set(engines)) != len(engines):
-            raise ConfigurationError(f"{where}: duplicate engines")
-        validated["engine"] = engines
-    return validated
-
-
-def _validate_vector(group: Dict, where: str) -> Dict:
-    processors = _as_list(group.get("processors", [2, 4, 6]))
-    if not processors or not all(isinstance(p, int) and p >= 1
-                                 for p in processors):
-        raise ConfigurationError(f"{where}: processors must be "
-                                 f"integer(s) >= 1")
-    instructions = group.get("instructions", 100_000)
-    if not isinstance(instructions, int) or instructions < 1:
-        raise ConfigurationError(f"{where}: instructions must be a "
-                                 f"positive integer")
-    validated = {"processors": processors, "instructions": instructions}
-    backend = group.get("backend")
-    if backend is not None:
-        from repro.trace.vectorized import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"{where}: backend must be one of {', '.join(BACKENDS)}; "
-                f"got {backend!r}")
-        validated["backend"] = backend
-    return validated
-
-
-def _validate_chaos(group: Dict, where: str) -> Dict:
-    from repro.faults.chaos import chaos_scenario_names
-
-    return _validate_scenarios(group, where, chaos_scenario_names())
-
-
-def _validate_serve(group: Dict, where: str) -> Dict:
-    from repro.serving.engine import serve_scenario_names
-
-    return _validate_scenarios(group, where, serve_scenario_names())
-
-
-def _validate_probe(group: Dict, where: str) -> Dict:
-    name = group.get("name", "probe")
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(f"{where}: name must be a non-empty "
-                                 f"string")
-    offset = group.get("offset", 0)
-    spin = group.get("spin", 0)
-    if not isinstance(offset, int) or not isinstance(spin, int) \
-            or spin < 0:
-        raise ConfigurationError(f"{where}: offset/spin must be integers "
-                                 f"(spin >= 0)")
-    validated = {"name": name, "offset": offset, "spin": spin}
-    fail_env = group.get("fail_env")
-    if fail_env is not None:
-        if not isinstance(fail_env, str) or not fail_env:
-            raise ConfigurationError(f"{where}: fail_env must be a "
-                                     f"non-empty string")
-        validated["fail_env"] = fail_env
-    return validated
-
-
-def _validate_exclude(value, validated: Dict, where: str) -> List[Dict]:
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{where}: exclude must be a list of "
-                                 f"mappings")
-    axis_keys = set(_axis_names(validated)) | {"seed"}
-    entries: List[Dict] = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict) or not entry:
-            raise ConfigurationError(f"{where}: exclude[{i}] must be a "
-                                     f"non-empty mapping")
-        unknown = sorted(set(entry) - axis_keys)
-        if unknown:
-            raise ConfigurationError(
-                f"{where}: exclude[{i}] names unknown axis(es): "
-                f"{', '.join(unknown)} (axes: "
-                f"{', '.join(sorted(axis_keys))})")
-        entries.append(dict(entry))
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# expansion
-
-
-def _axis_names(group: Dict) -> List[str]:
-    """The parameter names that expand for this group, seeds excluded."""
-    return {"sweep": ["processors", "protocol"],
-            "bench": ["scenarios", "engine"], "chaos": ["scenarios"],
-            "serve": ["scenarios"], "vector": ["processors"],
-            "probe": []}[group["kind"]]
-
-
-def _excluded(entry_params: Dict, excludes: Sequence[Dict]) -> bool:
-    return any(all(entry_params.get(key) == value
-                   for key, value in entry.items())
-               for entry in excludes)
-
-
-def _expand_group(group: Dict, default_seeds: Sequence[int]
-                  ) -> List[Tuple[str, int, Dict]]:
-    """(label, seed, params) triples in deterministic matrix order."""
-    kind = group["kind"]
-    seeds = group.get("seeds", list(default_seeds))
-    excludes = group.get("exclude", [])
-    out: List[Tuple[str, int, Dict]] = []
-    if kind == "sweep":
-        for processors in group["processors"]:
-            for protocol in group["protocol"]:
-                for seed in seeds:
-                    match = {"processors": processors,
-                             "protocol": protocol, "seed": seed}
-                    if _excluded(match, excludes):
-                        continue
-                    params = {"processors": processors,
-                              "protocol": protocol,
-                              "generation": group["generation"],
-                              "warmup": group["warmup"],
-                              "measure": group["measure"]}
-                    label = (f"sweep/np{processors}/{protocol}/"
-                             f"{group['generation']}/s{seed}")
-                    out.append((label, seed, params))
-    elif kind in ("bench", "chaos", "serve"):
-        mode = "quick" if group["quick"] else "full"
-        # The engine axis is bench-only and optional; when omitted the
-        # labels keep their pre-engine shape so existing golden pins
-        # and ledger keys survive the axis's introduction.
-        engines = group.get("engine") or [None]
-        for scenario in group["scenarios"]:
-            for engine in engines:
-                for seed in seeds:
-                    match = {"scenarios": scenario, "seed": seed}
-                    if engine is not None:
-                        match["engine"] = engine
-                    if _excluded(match, excludes):
-                        continue
-                    params = {"scenario": scenario,
-                              "quick": group["quick"]}
-                    label = f"{kind}/{scenario}/{mode}"
-                    if engine is not None:
-                        params["engine"] = engine
-                        label += f"/{engine}"
-                    out.append((f"{label}/s{seed}", seed, params))
-    elif kind == "vector":
-        for processors in group["processors"]:
-            for seed in seeds:
-                match = {"processors": processors, "seed": seed}
-                if _excluded(match, excludes):
-                    continue
-                params = {"processors": processors,
-                          "instructions": group["instructions"]}
-                if "backend" in group:
-                    params["backend"] = group["backend"]
-                out.append((f"vector/np{processors}"
-                            f"/i{group['instructions']}/s{seed}",
-                            seed, params))
-    else:  # probe
-        for seed in seeds:
-            if _excluded({"seed": seed}, excludes):
-                continue
-            params = {key: group[key]
-                      for key in ("name", "offset", "spin", "fail_env")
-                      if key in group}
-            out.append((f"probe/{group['name']}/s{seed}", seed, params))
-    return out

@@ -69,17 +69,20 @@ Subcommands:
     ``gc`` compacts a ledger to the rows the current spec and git
     revision can still use.
 
-``bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign run`` accept
-``--jobs N`` to fan their seeded trials out over worker processes (see
-:mod:`repro.observatory.runner`); parallelism changes wall-clock
-timing fields only, never a simulated bit.
+``bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign run`` run
+their seeded trials through one pipeline (see
+:mod:`repro.observatory.trials`) and accept ``--jobs N`` to fan them
+out over worker processes; parallelism changes wall-clock timing
+fields only, never a simulated bit, and a failing trial is reported
+under the same name at every job count.
 
 ``simulate`` and ``exerciser`` also accept ``--telemetry-out PATH`` to
 capture a trace of an ordinary run, ``--spans`` for transaction span
 percentiles, and ``--divergence`` for the live analytic-model
-residual report.  Every file-writing flag (``--telemetry-out``, sweep
-and chaos ``--json``, campaign ``--report``/``--out``) refuses to
-overwrite an existing file unless ``--force`` is passed.
+residual report.  Every file-writing flag (``--telemetry-out``;
+chaos, serve, sweep, verify and postmortem ``--json``; campaign
+``--report``/``--out``) refuses to overwrite an existing file unless
+``--force`` is passed.
 
 Examples::
 
@@ -115,7 +118,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
@@ -281,52 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes for (scenario x trial) "
                             "fan-out; simulated results are identical "
                             "at any job count (default 1)")
-    bench.add_argument("--engine", choices=("wheel", "heap"), default=None,
-                       help="event engine for every trial (default: the "
-                            "wheel); simulated metrics are identical "
-                            "either way — only ticks/s moves")
 
-    chaos = sub.add_parser(
-        "chaos", help="run the seeded fault-injection campaigns")
-    chaos.add_argument("--seed", type=int, default=1987,
-                       help="fault-schedule seed (default 1987); the "
-                            "same seed reproduces the same timeline")
-    chaos.add_argument("--quick", action="store_true",
-                       help="short horizons (CI smoke mode)")
-    chaos.add_argument("--scenario", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    chaos.add_argument("--list", action="store_true",
-                       help="list the pinned scenarios and exit")
-    chaos.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the campaign report as JSON")
-    chaos.add_argument("--force", action="store_true",
-                       help="overwrite an existing --json file")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for scenario fan-out; the "
-                            "report is byte-identical at any job count "
-                            "(default 1)")
-
-    serve = sub.add_parser(
-        "serve", help="run the resilient-serving SLO campaigns")
-    serve.add_argument("--seed", type=int, default=1987,
-                       help="workload seed (default 1987); the same "
-                            "seed reproduces the same arrival timeline")
-    serve.add_argument("--quick", action="store_true",
-                       help="short horizons (CI smoke mode)")
-    serve.add_argument("--scenario", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    serve.add_argument("--list", action="store_true",
-                       help="list the pinned scenarios and exit")
-    serve.add_argument("--json", metavar="PATH", default=None,
-                       help="also write the serve report as JSON")
-    serve.add_argument("--force", action="store_true",
-                       help="overwrite an existing --json file")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for scenario fan-out; the "
-                            "report is byte-identical at any job count "
-                            "(default 1)")
+    for name, blurb in (("chaos", "run the seeded fault-injection "
+                                  "campaigns"),
+                        ("serve", "run the resilient-serving SLO "
+                                  "campaigns")):
+        _add_scenario_args(sub.add_parser(name, help=blurb))
 
     sweep = sub.add_parser(
         "sweep", help="run a (processors x seed) metric sweep")
@@ -429,21 +394,46 @@ def _add_telemetry_args(sub_parser) -> None:
              "measured rates; print the residual report")
 
 
+def _add_scenario_args(sub_parser) -> None:
+    """The flags ``chaos`` and ``serve`` share."""
+    sub_parser.add_argument("--seed", type=int, default=1987,
+                            help="scenario seed (default 1987); the same "
+                                 "seed reproduces the same run")
+    sub_parser.add_argument("--quick", action="store_true",
+                            help="short horizons (CI smoke mode)")
+    sub_parser.add_argument("--scenario", action="append", default=None,
+                            metavar="NAME",
+                            help="run only this scenario (repeatable)")
+    sub_parser.add_argument("--list", action="store_true",
+                            help="list the pinned scenarios and exit")
+    sub_parser.add_argument("--json", metavar="PATH", default=None,
+                            help="also write the report as JSON")
+    sub_parser.add_argument("--force", action="store_true",
+                            help="overwrite an existing --json file")
+    sub_parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes for scenario fan-out; "
+                                 "the report is byte-identical at any job "
+                                 "count (default 1)")
+
+
 def _guard_output(path_str, force: bool, flag: str) -> None:
     """Refuse to overwrite an existing output file without ``--force``.
 
     Called before the simulation runs, so a long measurement is never
-    wasted on a file that will not be written.  Shared by
-    ``--telemetry-out``, sweep/chaos ``--json`` and the campaign
-    report/dashboard outputs.
+    wasted on a file that will not be written.  Shared by every
+    file-writing flag.
     """
-    from pathlib import Path
-
     from repro.common.errors import ConfigurationError
     if path_str is not None and Path(path_str).exists() and not force:
         raise ConfigurationError(
             f"{flag} {path_str} already exists; pass --force to "
             f"overwrite it")
+
+
+def _write_json(path: str, document) -> None:
+    """Write a document as indented JSON with sorted keys."""
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True)
+                          + "\n")
 
 
 def _begin_telemetry(args, subject, for_kernel: bool):
@@ -587,9 +577,6 @@ def _counterexample_dict(counterexample) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.cache.protocols import PROTOCOL_DEFINITIONS
     from repro.verify import check_guards, lint_paths, verify_protocol
 
@@ -660,8 +647,7 @@ def _cmd_verify(args) -> int:
 
     document["ok"] = failures == 0
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, document)
         print(f"verify: wrote {args.json}")
 
     if failures:
@@ -705,9 +691,6 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_postmortem(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.causal import (PINNED_DEADLOCK_SEED, extract_crash,
                               render_crash_report, run_pinned_deadlock)
     from repro.common.errors import ConfigurationError
@@ -728,8 +711,7 @@ def _cmd_postmortem(args) -> int:
         raise ConfigurationError(
             "pass a crash JSON path or --scenario deadlock")
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, report)
     print(render_crash_report(report))
     if args.json is not None:
         print(f"postmortem: wrote {args.json}")
@@ -737,8 +719,6 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from pathlib import Path
-
     from repro.common.errors import ConfigurationError
     from repro.observatory import (bench_files, compare_bench, load_bench,
                                    run_suite, write_bench)
@@ -763,7 +743,6 @@ def _cmd_bench(args) -> int:
                          scenarios=args.scenario,
                          skip_overhead=args.skip_overhead,
                          jobs=args.jobs,
-                         engine=args.engine,
                          progress=print)
     path = write_bench(document, out_dir)
     print()
@@ -803,43 +782,27 @@ def _cmd_bench(args) -> int:
     return 1 if overhead_failed else 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.faults import CHAOS_SCENARIOS, run_campaign
+def _cmd_scenarios(args) -> int:
+    """``chaos`` and ``serve``: run pinned scenarios, exit 1 on a FAIL."""
+    if args.command == "chaos":
+        from repro.faults.chaos import CHAOS_SCENARIOS as pinned
+        from repro.faults.chaos import run_campaign as run
+    else:
+        from repro.serving.engine import SERVE_SCENARIOS as pinned
+        from repro.serving.engine import run_serve_campaign as run
 
     if args.list:
-        for scenario in CHAOS_SCENARIOS:
-            print(f"{scenario.name:<16} {scenario.description}")
+        width = max(len(scenario.name) for scenario in pinned) + 2
+        for scenario in pinned:
+            print(f"{scenario.name:<{width}} {scenario.description}")
         return 0
     _guard_output(args.json, args.force, "--json")
-    report = run_campaign(seed=args.seed, quick=args.quick,
-                          scenarios=args.scenario, jobs=args.jobs)
+    report = run(seed=args.seed, quick=args.quick,
+                 scenarios=args.scenario, jobs=args.jobs)
     print(report.render())
     if args.json is not None:
-        import json
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"chaos: wrote {args.json}")
-    return 0 if report.ok else 1
-
-
-def _cmd_serve(args) -> int:
-    from repro.serving import SERVE_SCENARIOS, run_serve_campaign
-
-    if args.list:
-        for scenario in SERVE_SCENARIOS:
-            print(f"{scenario.name:<20} {scenario.description}")
-        return 0
-    _guard_output(args.json, args.force, "--json")
-    report = run_serve_campaign(seed=args.seed, quick=args.quick,
-                                scenarios=args.scenario, jobs=args.jobs)
-    print(report.render())
-    if args.json is not None:
-        import json
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"serve: wrote {args.json}")
+        _write_json(args.json, report.to_dict())
+        print(f"{args.command}: wrote {args.json}")
     return 0 if report.ok else 1
 
 
@@ -856,8 +819,6 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
 
 
 def _cmd_sweep(args) -> int:
-    import json
-
     from repro.observatory.runner import (SWEEP_MEASURE, SWEEP_WARMUP,
                                           run_sweep)
 
@@ -880,17 +841,12 @@ def _cmd_sweep(args) -> int:
                       point["mean_miss_rate"])
     print(table.render())
     if args.json is not None:
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json, document)
         print(f"sweep: wrote {args.json}")
     return 0
 
 
 def _cmd_campaign(args) -> int:
-    import json
-    from pathlib import Path
-
     from repro.campaign import CampaignStore, load_spec
 
     store = CampaignStore(args.store_dir)
@@ -907,8 +863,7 @@ def _cmd_campaign(args) -> int:
         print(f"campaign {spec.name}: {run.total} trial(s) merged "
               f"({run.ran} ran, {run.skipped} skipped via ledger)")
         if args.report is not None:
-            Path(args.report).write_text(
-                json.dumps(run.report, indent=2, sort_keys=True) + "\n")
+            _write_json(args.report, run.report)
             print(f"campaign: wrote {args.report}")
         if args.print_golden:
             print()
@@ -960,8 +915,8 @@ _COMMANDS = {
     "postmortem": _cmd_postmortem,
     "verify": _cmd_verify,
     "bench": _cmd_bench,
-    "chaos": _cmd_chaos,
-    "serve": _cmd_serve,
+    "chaos": _cmd_scenarios,
+    "serve": _cmd_scenarios,
     "sweep": _cmd_sweep,
     "campaign": _cmd_campaign,
 }

@@ -33,17 +33,16 @@ Example
 >>> log
 [5]
 
-Engines
--------
-The pending-event structure is pluggable: ``Simulator(engine="wheel")``
-(the default) uses a calendar-queue **event wheel** tuned for the
+Event wheel
+-----------
+Pending events live in a calendar-queue **event wheel** tuned for the
 dominant fixed-latency events (bus transfer slots, interned timeouts,
-scheduler quanta); ``engine="heap"`` keeps the classic binary heap.
-Both engines pop events in *identical* ``(time, seq)`` order — the
-wheel is a pure host-side optimisation, proven equivalent by
-``tests/test_engine_equivalence.py`` — so every simulated metric and
-telemetry byte is engine-independent.  See docs/PERFORMANCE.md for the
-wheel design (bucket width, overflow heap, rotation cost).
+scheduler quanta).  It pops events in ``(time, seq)`` order, exactly as
+a binary heap keyed on ``(time, seq)`` would; the heap survives only as
+the test-suite's oracle (``tests/test_engine_equivalence.py`` swaps it
+in and requires identical pop order, metrics and telemetry).  See
+docs/PERFORMANCE.md for the wheel design (bucket width, overflow heap,
+rotation cost).
 """
 
 from __future__ import annotations
@@ -51,11 +50,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
-from repro.common.errors import (ConfigurationError, DeadlockError,
-                                 SimulationError)
-
-#: The two pending-event engines a Simulator can run on.
-ENGINES = ("wheel", "heap")
+from repro.common.errors import DeadlockError, SimulationError
 
 #: Slots in the event wheel (one simulated tick per slot).  Power of
 #: two so slot indexing is a mask.  Delays below this land directly in
@@ -64,32 +59,6 @@ ENGINES = ("wheel", "heap")
 #: models (bus cycles, tick widths, scheduler quanta) with room to
 #: spare, while keeping a full empty-wheel rotation scan cheap.
 WHEEL_SIZE = 1024
-
-_DEFAULT_ENGINE = "wheel"
-
-
-def default_engine() -> str:
-    """The engine ``Simulator()`` uses when none is requested."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine; returns the previous one.
-
-    This is the plumbing behind ``firefly-sim bench --engine``: bench
-    scenario runners build machines deep inside workloads, so the
-    engine choice travels as an ambient default rather than threading a
-    parameter through every constructor.  Pure host-side switch — the
-    simulated behaviour is engine-independent.
-    """
-    global _DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown event engine {engine!r}; known: {', '.join(ENGINES)}")
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous
-
 
 class Event:
     """A one-shot condition that processes can wait on.
@@ -206,7 +175,7 @@ class Process:
             return
         # Timeouts dominate every workload (one per simulated tick), so
         # that branch is checked first and its scheduling goes straight
-        # through the engine's pre-bound push — no _schedule() frame, no
+        # through the wheel's pre-bound push — no _schedule() frame, no
         # negative-delay re-check (the _Timeout constructor already
         # validated the delay).
         if waitable.__class__ is _Timeout:
@@ -335,65 +304,6 @@ class Resource:
         self._sim._schedule(0, proc, self)
 
 
-class _HeapScheduler:
-    """The classic binary-heap pending-event structure.
-
-    Entries are ``(time, seq, proc, value, callback)`` tuples popped in
-    ``(time, seq)`` order — ``seq`` is the simulator's global schedule
-    counter, so same-time events resume in scheduling order.
-    """
-
-    __slots__ = ("_heap",)
-
-    kind = "heap"
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._heap: List[Tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time: int, seq: int, proc: Optional[Process],
-             value: Any, callback: Optional[Callable[[], None]]) -> None:
-        heappush(self._heap, (time, seq, proc, value, callback))
-
-    def peek(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
-    def drain(self, sim: "Simulator", limit: Optional[int]) -> None:
-        """Dispatch events in order; all of them (``limit=None``) or
-        only those with ``time <= limit``.
-
-        This single loop body serves both :meth:`Simulator.run` and
-        :meth:`Simulator.run_until`; it is inlined (no per-event call
-        frames beyond the process step itself) with the heap and
-        ``heappop`` bound locally, because it runs once per simulated
-        event and dominates the wall-clock of every heap-engine run.
-        """
-        heap = self._heap
-        pop = heappop
-        if limit is None:
-            while heap:
-                time, _, proc, value, callback = pop(heap)
-                sim.now = time
-                if callback is None:
-                    if proc is not None:
-                        proc._step(value)
-                else:
-                    sim._current = None
-                    callback()
-        else:
-            while heap and heap[0][0] <= limit:
-                time, _, proc, value, callback = pop(heap)
-                sim.now = time
-                if callback is None:
-                    if proc is not None:
-                        proc._step(value)
-                else:
-                    sim._current = None
-                    callback()
-
-
 class _WheelScheduler:
     """A calendar-queue event wheel with an overflow heap.
 
@@ -404,8 +314,9 @@ class _WheelScheduler:
     binary heap of far-future events and migrates into a slot once the
     wheel's rotation brings it inside the horizon.
 
-    Order contract (the whole point): pops occur in exactly the heap
-    engine's ``(time, seq)`` order.  The invariants that guarantee it:
+    Order contract (the whole point): pops occur in exactly ``(time,
+    seq)`` order, as from a binary heap of the same entries.  The
+    invariants that guarantee it:
 
     - every pending slotted entry has ``now <= time < now + size``, so
       within one rotation each residue class maps to exactly *one*
@@ -416,7 +327,7 @@ class _WheelScheduler:
       (cheaply, usually already-sorted) sorted before dispatch;
     - entries scheduled for the *current* timestamp while its slot is
       being drained append behind the cursor and are dispatched in the
-      same pass, exactly as the heap engine would pop them.
+      same pass, exactly as a heap would pop them.
 
     Cost model: push is O(1) (append) for in-horizon delays, O(log f)
     for the far-future fraction f; pop is O(1) amortised plus the
@@ -428,12 +339,10 @@ class _WheelScheduler:
 
     __slots__ = ("_sim", "_size", "_mask", "_slots", "_overflow", "_count")
 
-    kind = "wheel"
-
-    def __init__(self, sim: "Simulator", size: int = WHEEL_SIZE) -> None:
-        if size < 2 or size & (size - 1):
-            raise ConfigurationError(
-                f"wheel size must be a power of two >= 2, got {size}")
+    def __init__(self, sim: "Simulator") -> None:
+        # Read at construction, not bound as a default, so the tests can
+        # shrink the wheel to force overflow churn.
+        size = WHEEL_SIZE
         self._sim = sim
         self._size = size
         self._mask = size - 1
@@ -481,7 +390,7 @@ class _WheelScheduler:
         (``limit=None``) or only those with ``time <= limit``.
 
         One loop body for both :meth:`Simulator.run` and
-        :meth:`Simulator.run_until`, mirroring the heap engine.  Each
+        :meth:`Simulator.run_until`.  Each
         outer iteration migrates newly in-horizon overflow entries,
         finds the next populated slot, and dispatches that entire
         timestamp in one pass — ``sim.now`` is written once per
@@ -547,7 +456,7 @@ class _WheelScheduler:
             index = 0
             # len(slot) is re-read every iteration on purpose: handlers
             # scheduling work for *this* timestamp append to this very
-            # slot, and the heap engine would dispatch those too.
+            # slot, and a heap would dispatch those too.
             while index < len(slot):
                 entry = slot[index]
                 index += 1
@@ -566,40 +475,21 @@ class _WheelScheduler:
             cur += 1
 
 
-_ENGINE_CLASSES = {"heap": _HeapScheduler, "wheel": _WheelScheduler}
-
-
 class Simulator:
-    """The event loop: an integer clock plus a pending-event engine.
+    """The event loop: an integer clock plus the pending-event wheel.
 
     The kernel distinguishes *processes* (coroutines stepped by the
     loop) from *callbacks* (bare functions, used by periodic hardware
     like the MDC's poll timer).
-
-    ``engine`` selects the pending-event structure: ``"wheel"`` (the
-    default — a calendar queue tuned for the models' fixed small
-    latencies) or ``"heap"`` (the classic binary heap, kept as the
-    equivalence oracle).  Pop order, and therefore every simulated
-    metric and telemetry byte, is identical between the two.
     """
 
-    __slots__ = ("now", "engine", "_sched", "_push", "_seq", "_live",
-                 "_timeouts", "_current")
+    __slots__ = ("now", "_sched", "_push", "_seq", "_live", "_timeouts",
+                 "_current")
 
-    def __init__(self, engine: Optional[str] = None,
-                 wheel_size: int = WHEEL_SIZE) -> None:
-        if engine is None:
-            engine = _DEFAULT_ENGINE
-        cls = _ENGINE_CLASSES.get(engine)
-        if cls is None:
-            raise ConfigurationError(
-                f"unknown event engine {engine!r}; known: "
-                f"{', '.join(ENGINES)}")
+    def __init__(self) -> None:
         self.now: int = 0
-        self.engine = engine
-        self._sched = (cls(self, wheel_size) if engine == "wheel"
-                       else cls(self))
-        #: The engine's push, pre-bound: _step and _schedule call this
+        self._sched = _WheelScheduler(self)
+        #: The wheel's push, pre-bound: _step and _schedule call this
         #: once per scheduled event.
         self._push = self._sched.push
         self._seq = 0

@@ -25,7 +25,6 @@ from repro.faults.chaos import (
     CHAOS_SCENARIOS,
     ChaosReport,
     ScenarioOutcome,
-    chaos_scenario_names,
     run_campaign,
 )
 from repro.faults.injector import FaultInjector, FaultRecord
@@ -53,7 +52,6 @@ __all__ = [
     "QBusFaultModel",
     "ScenarioOutcome",
     "ScheduledFault",
-    "chaos_scenario_names",
     "run_campaign",
     "spec",
 ]

@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import (
-    BusTransferError,
-    ConfigurationError,
-    UncorrectableMemoryError,
-)
+from repro.common.errors import BusTransferError, UncorrectableMemoryError
 from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan, spec
 from repro.io.disk import WORDS_PER_BLOCK, DiskController, DiskParams
@@ -34,38 +30,12 @@ from repro.observatory.spans import trace_spans
 from repro.system import FireflyConfig, FireflyMachine
 from repro.system.checker import CoherenceChecker
 from repro.system.metrics import collect_metrics
+from repro.system.scenario import Horizon, Scenario
 from repro.workloads.threads_exerciser import ExerciserParams, build_exerciser
 
 CHAOS_SCHEMA = "firefly-chaos/1"
 
 DEFAULT_SEED = 1987
-
-
-@dataclass(frozen=True)
-class ChaosHorizon:
-    """Warm-up and measurement cycles for one campaign scenario."""
-
-    warmup: int
-    measure: int
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One pinned chaos scenario.
-
-    ``runner(scenario, horizon, seed)`` builds the subject, injects the
-    plan, and returns a :class:`ScenarioOutcome`.
-    """
-
-    name: str
-    description: str
-    full: ChaosHorizon
-    quick: ChaosHorizon
-    runner: Callable[["ChaosScenario", ChaosHorizon, int],
-                     "ScenarioOutcome"]
-
-    def horizon(self, quick: bool) -> ChaosHorizon:
-        return self.quick if quick else self.full
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +61,7 @@ class _EngineRun:
     crash: Optional[Dict] = None
 
 
-def _drive(subject, plan: FaultPlan, horizon: ChaosHorizon,
+def _drive(subject, plan: FaultPlan, horizon: Horizon,
            kernel=None, audit_interval: int = 0, scrub_interval: int = 0,
            repair: bool = True) -> _EngineRun:
     """Warm up, arm the plan, and run the measurement window.
@@ -285,7 +255,7 @@ class ScenarioOutcome:
         return "\n".join(lines)
 
 
-def _outcome(scenario: ChaosScenario, horizon: ChaosHorizon, seed: int,
+def _outcome(scenario: Scenario, horizon: Horizon, seed: int,
              run: _EngineRun) -> ScenarioOutcome:
     return ScenarioOutcome(
         name=scenario.name, description=scenario.description, seed=seed,
@@ -323,7 +293,7 @@ def _perf_block(faulted, baseline) -> Dict:
     return block
 
 
-def _twin_metrics(build: Callable[[], object], horizon: ChaosHorizon):
+def _twin_metrics(build: Callable[[], object], horizon: Horizon):
     """Run the fault-free twin: same build, same seed, no injector."""
     twin = build()
     return twin.run(warmup_cycles=horizon.warmup,
@@ -334,7 +304,7 @@ def _twin_metrics(build: Callable[[], object], horizon: ChaosHorizon):
 # pinned scenarios
 
 
-def _run_bus_parity(scenario: ChaosScenario, horizon: ChaosHorizon,
+def _run_bus_parity(scenario: Scenario, horizon: Horizon,
                     seed: int) -> ScenarioOutcome:
     """Parity-corrupted MBus tenures recovered by retry-with-backoff."""
     def build():
@@ -363,7 +333,7 @@ def _run_bus_parity(scenario: ChaosScenario, horizon: ChaosHorizon,
     return outcome
 
 
-def _run_ecc_scrub(scenario: ChaosScenario, horizon: ChaosHorizon,
+def _run_ecc_scrub(scenario: Scenario, horizon: Horizon,
                    seed: int) -> ScenarioOutcome:
     """SECDED: single-bit flips corrected, a double-bit flip detected."""
     def build():
@@ -400,7 +370,7 @@ def _run_ecc_scrub(scenario: ChaosScenario, horizon: ChaosHorizon,
     return outcome
 
 
-def _run_snoop_storm(scenario: ChaosScenario, horizon: ChaosHorizon,
+def _run_snoop_storm(scenario: Scenario, horizon: Horizon,
                      seed: int) -> ScenarioOutcome:
     """Dropped snoop probes caught by the I1-I4 audit and repaired."""
     def build():
@@ -431,7 +401,7 @@ def _run_snoop_storm(scenario: ChaosScenario, horizon: ChaosHorizon,
     return outcome
 
 
-def _run_cpu_offline(scenario: ChaosScenario, horizon: ChaosHorizon,
+def _run_cpu_offline(scenario: Scenario, horizon: Horizon,
                      seed: int) -> ScenarioOutcome:
     """A CPU board fails under Topaz; survivors absorb its work."""
     def build():
@@ -503,7 +473,7 @@ def _build_io_machine(seed: int):
     return machine, state
 
 
-def _run_device_degrade(scenario: ChaosScenario, horizon: ChaosHorizon,
+def _run_device_degrade(scenario: Scenario, horizon: Horizon,
                         seed: int) -> ScenarioOutcome:
     """QBus device timeouts: DMA retries, then the degraded slow path."""
     machine, state = _build_io_machine(seed)
@@ -537,37 +507,33 @@ def _run_device_degrade(scenario: ChaosScenario, horizon: ChaosHorizon,
     return outcome
 
 
-CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
-    ChaosScenario("bus-parity",
-                  "MBus parity corruption under bounded retry",
-                  full=ChaosHorizon(10_000, 40_000),
-                  quick=ChaosHorizon(5_000, 20_000),
-                  runner=_run_bus_parity),
-    ChaosScenario("ecc-scrub",
-                  "SECDED memory flips under the background scrubber",
-                  full=ChaosHorizon(5_000, 40_000),
-                  quick=ChaosHorizon(5_000, 24_000),
-                  runner=_run_ecc_scrub),
-    ChaosScenario("snoop-storm",
-                  "dropped snoop probes vs the I1-I4 coherence audit",
-                  full=ChaosHorizon(10_000, 40_000),
-                  quick=ChaosHorizon(5_000, 20_000),
-                  runner=_run_snoop_storm),
-    ChaosScenario("cpu-offline",
-                  "CPU board failure under Topaz with graceful offlining",
-                  full=ChaosHorizon(10_000, 50_000),
-                  quick=ChaosHorizon(5_000, 25_000),
-                  runner=_run_cpu_offline),
-    ChaosScenario("device-degrade",
-                  "QBus device timeouts with DMA retry and degradation",
-                  full=ChaosHorizon(5_000, 60_000),
-                  quick=ChaosHorizon(2_000, 36_000),
-                  runner=_run_device_degrade),
+CHAOS_SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario("bus-parity",
+             "MBus parity corruption under bounded retry",
+             full=Horizon(10_000, 40_000),
+             quick=Horizon(5_000, 20_000),
+             runner=_run_bus_parity),
+    Scenario("ecc-scrub",
+             "SECDED memory flips under the background scrubber",
+             full=Horizon(5_000, 40_000),
+             quick=Horizon(5_000, 24_000),
+             runner=_run_ecc_scrub),
+    Scenario("snoop-storm",
+             "dropped snoop probes vs the I1-I4 coherence audit",
+             full=Horizon(10_000, 40_000),
+             quick=Horizon(5_000, 20_000),
+             runner=_run_snoop_storm),
+    Scenario("cpu-offline",
+             "CPU board failure under Topaz with graceful offlining",
+             full=Horizon(10_000, 50_000),
+             quick=Horizon(5_000, 25_000),
+             runner=_run_cpu_offline),
+    Scenario("device-degrade",
+             "QBus device timeouts with DMA retry and degradation",
+             full=Horizon(5_000, 60_000),
+             quick=Horizon(2_000, 36_000),
+             runner=_run_device_degrade),
 )
-
-
-def chaos_scenario_names() -> List[str]:
-    return [scenario.name for scenario in CHAOS_SCENARIOS]
 
 
 # ---------------------------------------------------------------------------
@@ -635,48 +601,17 @@ class ChaosReport:
 
 def run_campaign(seed: int = DEFAULT_SEED, quick: bool = False,
                  scenarios: Optional[List[str]] = None,
-                 jobs: int = 1,
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> ChaosReport:
+                 jobs: int = 1) -> ChaosReport:
     """Run the pinned chaos scenarios and return the campaign report.
 
     Every scenario derives its entire fault schedule and workload from
     ``seed`` alone, so ``jobs > 1`` fans the scenarios out over worker
-    processes (via :mod:`repro.observatory.runner`) and merges the
-    outcomes back in pinned order — the report, including its JSON
-    form, is byte-identical at any job count.
+    processes (via :mod:`repro.observatory.trials`) and the outcomes
+    come back in the order named — the report, including its JSON form,
+    is byte-identical at any job count.
     """
-    selected = list(CHAOS_SCENARIOS)
-    if scenarios:
-        by_name = {s.name: s for s in CHAOS_SCENARIOS}
-        unknown = sorted(set(scenarios) - set(by_name))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown chaos scenario(s) {', '.join(unknown)}; "
-                f"pinned: {', '.join(chaos_scenario_names())}")
-        selected = [by_name[name] for name in scenarios]
-    outcomes: List[ScenarioOutcome] = []
-    if jobs is not None and jobs > 1 and len(selected) > 1:
-        from repro.observatory.runner import (chaos_scenario,
-                                              describe_chaos_spec,
-                                              run_ordered)
-        specs = [(scenario.name, quick, seed) for scenario in selected]
-        if progress is not None:
-            for scenario in selected:
-                progress(f"{scenario.name}: {scenario.description}")
-        outcomes = run_ordered(specs, chaos_scenario, jobs=jobs,
-                               describe=describe_chaos_spec)
-        if progress is not None:
-            for outcome in outcomes:
-                progress(f"  {outcome.name}: {outcome.verdict}")
-    else:
-        for scenario in selected:
-            if progress is not None:
-                progress(f"{scenario.name}: {scenario.description}")
-            horizon = scenario.horizon(quick)
-            outcome = scenario.runner(scenario, horizon, seed)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(f"  {scenario.name}: {outcome.verdict}")
+    from repro.observatory.trials import run_scenarios
+
     return ChaosReport(seed=seed, mode="quick" if quick else "full",
-                       outcomes=outcomes)
+                       outcomes=run_scenarios("chaos", seed, quick,
+                                              scenarios, jobs))

@@ -12,6 +12,10 @@ Three instruments over one simulated machine:
   suite, BENCH_<n>.json files, and the noise-aware regression
   detector.
 
+Every harness runs its seeded trials through one pipeline: the
+trial-kind registry of :mod:`repro.observatory.trials` over the
+deterministic executor of :mod:`repro.observatory.runner`.
+
 See docs/OBSERVATORY.md.
 """
 
@@ -26,7 +30,6 @@ from repro.observatory.bench import (
     load_bench,
     measure_overhead,
     next_bench_path,
-    run_scenario,
     run_suite,
     scenario_names,
     validate_bench,
@@ -74,7 +77,6 @@ __all__ = [
     "measure_overhead",
     "next_bench_path",
     "run_ordered",
-    "run_scenario",
     "run_suite",
     "run_sweep",
     "scenario_names",

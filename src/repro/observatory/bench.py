@@ -32,10 +32,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.common.errors import ConfigurationError
-from repro.common.events import Simulator, default_engine, set_default_engine
+from repro.common.events import Simulator
 from repro.common.provenance import provenance_stamp
 from repro.common.rng import RandomStream
 from repro.system import FireflyConfig, FireflyMachine
+from repro.system.scenario import Horizon, Scenario
 from repro.telemetry.probe import NULL_PROBE, TelemetryHub
 from repro.telemetry.instrument import attach_kernel
 from repro.workloads.threads_exerciser import ExerciserParams, build_exerciser
@@ -64,37 +65,6 @@ def _now() -> float:
 
 # ---------------------------------------------------------------------------
 # pinned scenarios
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """Warm-up and measurement cycles for one scenario run."""
-
-    warmup: int
-    measure: int
-
-    @property
-    def total(self) -> int:
-        return self.warmup + self.measure
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One pinned benchmark scenario.
-
-    ``runner(horizon, seed)`` performs the simulation and returns
-    ``(simulated_cycles, metrics)`` where metrics is a flat dict of
-    JSON-safe simulated measurements.
-    """
-
-    name: str
-    description: str
-    full: Horizon
-    quick: Horizon
-    runner: Callable[["Scenario", Horizon, int], Tuple[int, Dict]]
-
-    def horizon(self, quick: bool) -> Horizon:
-        return self.quick if quick else self.full
 
 
 def _run_exerciser(processors: int, threads: int, horizon: Horizon,
@@ -243,10 +213,10 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     population of small fixed-delay tickers (the dominant event class),
     priority-arbitrated resource contention (the MBus pattern), and a
     handful of far-future sleepers that force the wheel's overflow
-    path.  Its ticks/s therefore isolates the engine itself, which is
-    exactly what the wheel-vs-heap comparison needs; its metrics
-    (events scheduled, grants, queue waits) are engine-independent, so
-    any drift between engines fails the equivalence tests.
+    path.  Its ticks/s therefore isolates the event wheel, the layer an
+    event-core regression would slow.  Its metrics (events scheduled,
+    grants, queue waits) depend only on pop order, so the equivalence
+    tests also run it on the heap oracle and require equal metrics.
     """
     sim = Simulator()
     rng = RandomStream(seed, "core.microbench")
@@ -316,6 +286,8 @@ def _vector_stat_runner(scenario: Scenario, horizon: Horizon,
     return cycles, metrics
 
 
+#: The pinned suite.  Each runner returns ``(simulated_cycles, metrics)``,
+#: metrics being a flat dict of JSON-safe simulated measurements.
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("exerciser-1cpu",
              "Threads exerciser, 1 CPU x 8 threads (Table 2 left column)",
@@ -405,29 +377,6 @@ class ScenarioResult:
             "noise": self.noise,
             "metrics": self.metrics,
         }
-
-
-def run_scenario(scenario: Scenario, quick: bool = False,
-                 trials: Optional[int] = None,
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> ScenarioResult:
-    """Run one scenario's seeded trials; metrics come from trial 0."""
-    count = _trial_count(quick, trials)
-    horizon = scenario.horizon(quick)
-    result = ScenarioResult(scenario)
-    for index in range(count):
-        seed = TRIAL_SEEDS[index]
-        start = _now()
-        cycles, metrics = scenario.runner(scenario, horizon, seed)
-        elapsed = _now() - start
-        ticks = cycles / elapsed if elapsed > 0 else 0.0
-        result.trials.append(Trial(seed, cycles, elapsed, ticks))
-        if index == 0:
-            result.metrics = metrics
-        if progress is not None:
-            progress(f"  {scenario.name} trial {index + 1}/{count}: "
-                     f"{ticks / 1e3:.0f}K ticks/s")
-    return result
 
 
 # -- disabled-tracing overhead guard ----------------------------------------
@@ -531,80 +480,48 @@ def _trial_count(quick: bool, trials: Optional[int]) -> int:
     return count
 
 
-def _run_suite_parallel(selected: List[Scenario], quick: bool, count: int,
-                        jobs: int, engine: str,
-                        progress: Optional[Callable[[str], None]]
-                        ) -> Dict[str, Dict]:
-    """All (scenario x trial) cells fanned out across worker processes.
-
-    Every trial rebuilds its world from its seed inside the worker, so
-    the simulated fields of the result are identical to the serial
-    path's; only the wall-clock measurements differ (they describe the
-    host, and a loaded host at ``jobs=N`` is a different host).
-    Results are merged back in (scenario, trial) order.  The engine
-    travels in every spec — worker processes do not inherit the
-    parent's ambient default.
-    """
-    from repro.observatory.runner import (bench_trial, describe_bench_spec,
-                                          run_ordered)
-
-    specs = [(scenario.name, quick, TRIAL_SEEDS[index], engine)
-             for scenario in selected for index in range(count)]
-    records = run_ordered(specs, bench_trial, jobs=jobs,
-                          describe=describe_bench_spec)
-    entries: Dict[str, Dict] = {}
-    cursor = 0
-    for scenario in selected:
-        result = ScenarioResult(scenario)
-        for index in range(count):
-            record = records[cursor]
-            cursor += 1
-            result.trials.append(Trial(
-                record["seed"], record["cycles"], record["wall_seconds"],
-                record["ticks_per_second"]))
-            if index == 0:
-                result.metrics = record["metrics"]
-        if progress is not None:
-            progress(f"  {scenario.name}: "
-                     f"{result.median_ticks_per_second / 1e3:.0f}K ticks/s "
-                     f"median over {count} trial(s)")
-        entries[scenario.name] = result.to_dict()
-    return entries
-
-
 def run_suite(quick: bool = False, trials: Optional[int] = None,
               scenarios: Optional[List[str]] = None,
               skip_overhead: bool = False,
               jobs: int = 1,
-              engine: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the pinned suite and return the BENCH document.
 
-    ``jobs > 1`` fans the (scenario x trial) grid out over worker
-    processes via :mod:`repro.observatory.runner`; the simulated
-    content of the document is identical at any job count.
-
-    ``engine`` pins the event engine for every trial (default: the
-    process-wide default, normally ``"wheel"``).  The engine is a pure
-    host-side choice — identical pop order, metrics and telemetry —
-    so the document's simulated fields are engine-independent; only
-    ticks/s moves, which is exactly what ``--engine heap`` exists to
-    measure.
+    The (scenario x trial) grid is one ``bench`` trial group run through
+    :mod:`repro.observatory.trials` — in-process at ``jobs=1``, fanned
+    out over worker processes above — so the document's simulated
+    content is identical at any job count; only the wall-clock fields
+    differ (they describe the host, and a loaded host at ``jobs=N`` is
+    a different host).  Metrics come from each scenario's first trial.
     """
-    engine = engine or default_engine()
-    selected = list(SCENARIOS)
-    if scenarios:
-        by_name = {s.name: s for s in SCENARIOS}
-        unknown = sorted(set(scenarios) - set(by_name))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario(s) {', '.join(unknown)}; "
-                f"pinned: {', '.join(scenario_names())}")
-        selected = [by_name[name] for name in scenarios]
+    from repro.observatory.trials import (expand_group, run_trials,
+                                          validate_group)
+
+    count = _trial_count(quick, trials)
+    group = validate_group({"kind": "bench", "scenarios": scenarios or None,
+                            "quick": quick,
+                            "seeds": list(TRIAL_SEEDS[:count])}, "bench")
+    by_name = {scenario.name: scenario for scenario in SCENARIOS}
+    results = {name: ScenarioResult(by_name[name])
+               for name in group["scenarios"]}
+
+    def collect(trial, record: Dict) -> None:
+        result = results[trial.params["scenario"]]
+        name = result.scenario.name
+        if not result.trials:
+            result.metrics = record["metrics"]
+            if progress is not None:
+                progress(f"{name}: {result.scenario.description}")
+        result.trials.append(Trial(record["seed"], record["cycles"],
+                                   record["wall_seconds"],
+                                   record["ticks_per_second"]))
+        if progress is not None:
+            progress(f"  {name} trial {len(result.trials)}/{count}: "
+                     f"{record['ticks_per_second'] / 1e3:.0f}K ticks/s")
+
     document: Dict = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
-        "engine": engine,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -617,32 +534,19 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
         "provenance": provenance_stamp({
             "mode": "quick" if quick else "full",
             "trials": trials,
-            "scenarios": [s.name for s in selected],
+            "scenarios": group["scenarios"],
             "skip_overhead": skip_overhead,
-            "engine": engine,
         }, schema=BENCH_SCHEMA),
         "scenarios": {},
         "overhead": None,
     }
-    previous = set_default_engine(engine)
-    try:
-        if jobs is not None and jobs > 1:
-            count = _trial_count(quick, trials)
-            document["scenarios"] = _run_suite_parallel(
-                selected, quick, count, jobs, engine, progress)
-        else:
-            for scenario in selected:
-                if progress is not None:
-                    progress(f"{scenario.name}: {scenario.description}")
-                result = run_scenario(scenario, quick=quick, trials=trials,
-                                      progress=progress)
-                document["scenarios"][scenario.name] = result.to_dict()
-        if not skip_overhead:
-            if progress is not None:
-                progress("overhead: disabled-tracing wall-clock guard")
-            document["overhead"] = measure_overhead(quick=quick)
-    finally:
-        set_default_engine(previous)
+    run_trials(expand_group(group, ()), jobs=jobs, on_result=collect)
+    document["scenarios"] = {name: result.to_dict()
+                             for name, result in results.items()}
+    if not skip_overhead:
+        if progress is not None:
+            progress("overhead: disabled-tracing wall-clock guard")
+        document["overhead"] = measure_overhead(quick=quick)
     return document
 
 

@@ -1,11 +1,11 @@
 """Deterministic parallel trial executor.
 
-``firefly-sim bench``, ``firefly-sim chaos`` and ``firefly-sim sweep``
-all reduce to the same shape of work: an ordered list of *(scenario,
-seed)* trials, each of which builds its entire simulated world from its
-seed and returns plain data.  Trials share no mutable state — every
-RNG stream is derived from the trial's own seed inside the trial — so
-they can run in worker processes without changing a single simulated
+Every harness — ``firefly-sim bench``, ``chaos``, ``serve``, ``sweep``
+and ``campaign run`` — reduces to the same shape of work: an ordered
+list of seeded trials, each of which builds its entire simulated world
+from its seed and returns plain data.  Trials share no mutable state —
+every RNG stream is derived from the trial's own seed inside the trial —
+so they can run in worker processes without changing a single simulated
 bit.  This module provides that fan-out:
 
 - :func:`run_ordered` — execute a list of picklable specs through a
@@ -14,21 +14,21 @@ bit.  This module provides that fan-out:
   results **in spec order** regardless of completion order.  With the
   same specs, ``jobs=N`` and ``jobs=1`` produce identical result
   lists (wall-clock timing fields aside, which are measurements of the
-  host, not of the simulation).
-- worker functions for the three consumers (:func:`bench_trial`,
-  :func:`chaos_scenario`, :func:`sweep_point`), all module-level so
-  they pickle by reference.
+  host, not of the simulation).  The harnesses all reach it through
+  :func:`repro.observatory.trials.run_trials`, whose one worker runs
+  any declared trial kind.
 - :func:`run_sweep` — the ``firefly-sim sweep`` document builder: a
   (processor-count x seed) grid of machine runs with purely simulated
   metrics, byte-identical JSON at any job count.
 
-Failure contract: a trial that raises in a worker is reported as a
-single :class:`TrialFailure` naming the failing *(scenario, seed)* —
-the child's traceback is summarised, never dumped raw — and a worker
-process that dies outright (killed, segfault) surfaces the same way
-instead of hanging the parent.  Remaining queued trials are cancelled,
-and a ``KeyboardInterrupt`` in the parent terminates every worker
-process before re-raising — Ctrl-C never leaks simulating workers.
+Failure contract: a trial that raises is reported as a single
+:class:`TrialFailure` naming the failing trial — the child's traceback
+is summarised, never dumped raw — on both the serial and the parallel
+path, and a worker process that dies outright (killed, segfault)
+surfaces the same way instead of hanging the parent.  Remaining queued
+trials are cancelled, and a ``KeyboardInterrupt`` in the parent
+terminates every worker process before re-raising — Ctrl-C never leaks
+simulating workers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 
 SWEEP_SCHEMA = "firefly-sweep/1"
 
@@ -47,7 +47,7 @@ SWEEP_MEASURE = 60_000
 
 
 class TrialFailure(SimulationError):
-    """One trial failed inside a worker; names the (scenario, seed)."""
+    """One trial failed; names the trial."""
 
     def __init__(self, label: str, detail: str) -> None:
         super().__init__(f"trial {label} failed: {detail}")
@@ -151,101 +151,6 @@ def run_ordered(specs: Sequence, worker: Callable, jobs: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# workers (module-level: they pickle by reference into worker processes)
-
-
-def bench_trial(spec: Tuple) -> Dict:
-    """One seeded bench trial: ``(scenario_name, quick, seed[, engine])``.
-
-    Returns the trial record plus the simulated metrics; the caller
-    keeps metrics only for trial 0, matching the serial path.  Wall
-    time is measured inside the worker, exactly as the serial path
-    times the bare runner call.
-
-    The optional fourth element pins the event engine inside this
-    worker process (the parent's ambient default does not cross the
-    process boundary); three-element specs — the campaign ledger's
-    pinned shape — keep the worker's own default, which is the same
-    simulated result by the engine-equivalence contract.
-    """
-    from repro.common.events import set_default_engine
-    from repro.observatory import bench
-
-    name, quick, seed = spec[:3]
-    engine = spec[3] if len(spec) > 3 else None
-    scenario = next(s for s in bench.SCENARIOS if s.name == name)
-    horizon = scenario.horizon(quick)
-    previous = set_default_engine(engine) if engine else None
-    try:
-        start = bench._now()
-        cycles, metrics = scenario.runner(scenario, horizon, seed)
-        elapsed = bench._now() - start
-    finally:
-        if previous is not None:
-            set_default_engine(previous)
-    return {
-        "seed": seed,
-        "cycles": cycles,
-        "wall_seconds": elapsed,
-        "ticks_per_second": cycles / elapsed if elapsed > 0 else 0.0,
-        "metrics": metrics,
-    }
-
-
-def chaos_scenario(spec: Tuple[str, bool, int]):
-    """One chaos scenario: ``(scenario_name, quick, seed)``.
-
-    Returns the :class:`~repro.faults.chaos.ScenarioOutcome` — plain
-    dataclasses all the way down, so it crosses the process boundary
-    intact.  Imported lazily; :mod:`repro.faults.chaos` imports
-    observatory modules.
-    """
-    from repro.faults import chaos
-
-    name, quick, seed = spec
-    scenario = next(s for s in chaos.CHAOS_SCENARIOS if s.name == name)
-    horizon = scenario.horizon(quick)
-    return scenario.runner(scenario, horizon, seed)
-
-
-def serve_scenario(spec: Tuple[str, bool, int]):
-    """One serving scenario: ``(scenario_name, quick, seed)``.
-
-    Returns the :class:`~repro.serving.engine.ServeOutcome` — plain
-    dataclasses and dicts, so it crosses the process boundary intact.
-    """
-    from repro.serving import engine
-
-    name, quick, seed = spec
-    scenario = next(s for s in engine.SERVE_SCENARIOS if s.name == name)
-    horizon = scenario.horizon(quick)
-    return scenario.runner(scenario, horizon, seed)
-
-
-def sweep_point(spec: Tuple[int, str, str, int, int, int]) -> Dict:
-    """One sweep grid point:
-    ``(processors, protocol, generation, seed, warmup, measure)``.
-    """
-    from repro.system import FireflyConfig, FireflyMachine, Generation
-
-    processors, protocol, generation, seed, warmup, measure = spec
-    machine = FireflyMachine(FireflyConfig(
-        processors=processors, protocol=protocol,
-        generation=Generation(generation), seed=seed))
-    metrics = machine.run(warmup_cycles=warmup, measure_cycles=measure)
-    return {
-        "processors": processors,
-        "seed": seed,
-        "cycles": machine.sim.now,
-        "bus_load": metrics.bus_load,
-        "mean_tpi": metrics.mean_tpi,
-        "mean_miss_rate": metrics.mean_miss_rate,
-        "mean_cpu_krate": metrics.mean_cpu_krate,
-        "dirty_fraction": metrics.dirty_fraction,
-    }
-
-
-# ---------------------------------------------------------------------------
 # the sweep document
 
 
@@ -256,26 +161,25 @@ def run_sweep(processor_counts: Sequence[int], seeds: Sequence[int],
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the (processors x seed) grid and return the sweep document.
 
-    The document contains only simulated quantities — no wall-clock
-    fields — so serialising it with sorted keys yields byte-identical
-    JSON for any ``jobs`` value.
+    The grid is one ``sweep`` trial group (see
+    :mod:`repro.observatory.trials`), validated like a campaign's.  The
+    document contains only simulated quantities — no wall-clock fields —
+    so serialising it with sorted keys yields byte-identical JSON for
+    any ``jobs`` value.
     """
-    if not processor_counts:
-        raise ConfigurationError("sweep needs at least one processor count")
-    if not seeds:
-        raise ConfigurationError("sweep needs at least one seed")
-    for count in processor_counts:
-        if count < 1:
-            raise ConfigurationError(f"processor count must be >= 1, "
-                                     f"got {count}")
-    specs = [(processors, protocol, generation, seed, warmup, measure)
-             for processors in processor_counts for seed in seeds]
+    from repro.observatory.trials import (expand_group, run_trials,
+                                          validate_group)
+
+    group = validate_group({
+        "kind": "sweep", "processors": list(processor_counts),
+        "protocol": protocol, "generation": generation,
+        "warmup": warmup, "measure": measure, "seeds": list(seeds)},
+        "sweep")
+    trials = expand_group(group, ())
     if progress is not None:
-        progress(f"sweep: {len(specs)} point(s) "
+        progress(f"sweep: {len(trials)} point(s) "
                  f"({len(processor_counts)} processor count(s) x "
                  f"{len(seeds)} seed(s), jobs={max(1, jobs)})")
-    points = run_ordered(specs, sweep_point, jobs=jobs,
-                         describe=_describe_sweep_spec)
     return {
         "schema": SWEEP_SCHEMA,
         "protocol": protocol,
@@ -284,27 +188,5 @@ def run_sweep(processor_counts: Sequence[int], seeds: Sequence[int],
         "measure_cycles": measure,
         "processor_counts": list(processor_counts),
         "seeds": list(seeds),
-        "points": points,
+        "points": run_trials(trials, jobs=jobs),
     }
-
-
-def _describe_sweep_spec(spec) -> str:
-    processors, protocol, _generation, seed, _warmup, _measure = spec
-    return f"(sweep np={processors} protocol={protocol}, seed {seed})"
-
-
-def describe_bench_spec(spec) -> str:
-    name, _quick, seed = spec[:3]
-    if len(spec) > 3 and spec[3]:
-        return f"({name}, seed {seed}, engine {spec[3]})"
-    return f"({name}, seed {seed})"
-
-
-def describe_chaos_spec(spec) -> str:
-    name, _quick, seed = spec
-    return f"({name}, seed {seed})"
-
-
-def describe_serve_spec(spec) -> str:
-    name, _quick, seed = spec
-    return f"({name}, seed {seed})"

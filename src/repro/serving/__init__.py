@@ -9,15 +9,13 @@ from repro.serving.workload import (ArrivalSpec, ClassMetrics, ServerSpec,
                                     ServingWorkload, SloSpec, TierSpec,
                                     Topology, TOPOLOGY_SCHEMA)
 from repro.serving.engine import (SERVE_SCENARIOS, SERVE_SCHEMA,
-                                  ServeHorizon, ServeOutcome, ServeReport,
-                                  ServeScenario, run_serve_campaign,
-                                  serve_scenario_names)
+                                  ServeOutcome, ServeReport,
+                                  run_serve_campaign)
 
 __all__ = [
     "ArrivalSpec", "CallOutcome", "CircuitBreaker", "ClassMetrics",
     "ResilienceParams", "ResilientTransport", "SERVE_SCENARIOS",
-    "SERVE_SCHEMA", "ServeHorizon", "ServeOutcome", "ServeReport",
-    "ServeScenario", "ServerSpec", "ServingWorkload", "SloSpec",
-    "TierSpec", "Topology", "TOPOLOGY_SCHEMA", "run_serve_campaign",
-    "serve_scenario_names",
+    "SERVE_SCHEMA", "ServeOutcome", "ServeReport", "ServerSpec",
+    "ServingWorkload", "SloSpec", "TierSpec", "Topology",
+    "TOPOLOGY_SCHEMA", "run_serve_campaign",
 ]

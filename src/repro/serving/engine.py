@@ -13,7 +13,7 @@ chaos campaigns do.
 Determinism mirrors ``repro.faults.chaos``: everything derives from
 the seed, reports hold no wall-clock or host fields, and ``--jobs N``
 fans scenarios out over the deterministic executor and merges them
-back in pinned order — the JSON report is byte-identical at any job
+back in the order named — the JSON report is byte-identical at any job
 count.
 """
 
@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
 from repro.io.ethernet import EthernetParams
 from repro.serving.policies import ResilienceParams
 from repro.serving.workload import (ArrivalSpec, ServerSpec,
                                     ServingWorkload, SloSpec, TierSpec,
                                     Topology)
+from repro.system.scenario import Horizon, Scenario
 
 SERVE_SCHEMA = "firefly-serve/1"
 
@@ -38,33 +38,6 @@ DEFAULT_SEED = 1987
 #: configuration (same knob the paper's driver work targeted); the
 #: bench/A5 transports keep the stock constants.
 SERVE_ETHERNET = EthernetParams(controller_overhead_cycles=1_500)
-
-
-@dataclass(frozen=True)
-class ServeHorizon:
-    """Warm-up and measurement cycles for one serving scenario."""
-
-    warmup: int
-    measure: int
-
-
-@dataclass(frozen=True)
-class ServeScenario:
-    """One pinned serving scenario.
-
-    ``runner(scenario, horizon, seed)`` builds the workload, drives
-    it, and returns a :class:`ServeOutcome`.
-    """
-
-    name: str
-    description: str
-    full: ServeHorizon
-    quick: ServeHorizon
-    runner: Callable[["ServeScenario", "ServeHorizon", int],
-                     "ServeOutcome"]
-
-    def horizon(self, quick: bool) -> ServeHorizon:
-        return self.quick if quick else self.full
 
 
 @dataclass
@@ -156,7 +129,7 @@ class ServeOutcome:
 # the scenario engine
 
 
-def _drive_serving(workload: ServingWorkload, horizon: ServeHorizon,
+def _drive_serving(workload: ServingWorkload, horizon: Horizon,
                    plan=None, qbus_model=None):
     """Run warmup + window; returns (tracer, injector, fault records)."""
     from repro.causal.assemble import RequestTracer
@@ -202,7 +175,7 @@ def _segment_block(tracer, classes: List[str]) -> Dict[str, Dict]:
 
 
 def _twin_classes(build: Callable[[], ServingWorkload],
-                  horizon: ServeHorizon) -> Dict[str, Dict]:
+                  horizon: Horizon) -> Dict[str, Dict]:
     """The fault-free twin's per-class metrics (same build, no plan)."""
     twin = build()
     twin.run(horizon.warmup, horizon.measure)
@@ -227,7 +200,7 @@ def _degradation(classes: Dict[str, Dict],
     return block
 
 
-def _finish(scenario: ServeScenario, horizon: ServeHorizon, seed: int,
+def _finish(scenario: Scenario, horizon: Horizon, seed: int,
             workload: ServingWorkload, tracer, injector,
             extra_ok: bool, note: str) -> ServeOutcome:
     """Assemble the outcome; the verdict combines SLOs and invariants."""
@@ -271,7 +244,7 @@ def _steady_topology() -> Topology:
         servers=ServerSpec(pool=2, turnaround_cycles=8_000))
 
 
-def _run_steady(scenario: ServeScenario, horizon: ServeHorizon,
+def _run_steady(scenario: Scenario, horizon: Horizon,
                 seed: int) -> ServeOutcome:
     """Poisson arrivals well under capacity: every gate holds."""
     resilience = ResilienceParams(attempt_timeout_cycles=120_000,
@@ -301,7 +274,7 @@ def _bursty_topology() -> Topology:
         servers=ServerSpec(pool=2, turnaround_cycles=8_000))
 
 
-def _run_bursty(scenario: ServeScenario, horizon: ServeHorizon,
+def _run_bursty(scenario: Scenario, horizon: Horizon,
                 seed: int) -> ServeOutcome:
     """On/off bursts past capacity: the door sheds, the SLOs survive."""
     resilience = ResilienceParams(max_in_flight=3)
@@ -329,7 +302,7 @@ def _hedge_topology() -> Topology:
         servers=ServerSpec(pool=3, turnaround_cycles=8_000))
 
 
-def _run_hedge(scenario: ServeScenario, horizon: ServeHorizon,
+def _run_hedge(scenario: Scenario, horizon: Horizon,
                seed: int) -> ServeOutcome:
     """Hedged requests race a second server for the tail."""
     resilience = ResilienceParams(hedge_after_cycles=6_000)
@@ -366,8 +339,8 @@ def _chaos_resilience() -> ResilienceParams:
                             breaker_failure_threshold=4)
 
 
-def _run_latency_under_chaos(scenario: ServeScenario,
-                             horizon: ServeHorizon,
+def _run_latency_under_chaos(scenario: Scenario,
+                             horizon: Horizon,
                              seed: int) -> ServeOutcome:
     """QBus device timeouts degrade DMA mid-window; retries absorb it.
 
@@ -410,32 +383,28 @@ def _run_latency_under_chaos(scenario: ServeScenario,
     return outcome
 
 
-SERVE_SCENARIOS: Tuple[ServeScenario, ...] = (
-    ServeScenario("steady-poisson",
-                  "Poisson arrivals under capacity meet every SLO",
-                  full=ServeHorizon(150_000, 1_200_000),
-                  quick=ServeHorizon(60_000, 400_000),
-                  runner=_run_steady),
-    ServeScenario("bursty-shed",
-                  "on/off bursts past capacity shed at the door",
-                  full=ServeHorizon(150_000, 1_200_000),
-                  quick=ServeHorizon(60_000, 400_000),
-                  runner=_run_bursty),
-    ServeScenario("hedge-tail",
-                  "hedged requests race a second server for the tail",
-                  full=ServeHorizon(150_000, 900_000),
-                  quick=ServeHorizon(60_000, 400_000),
-                  runner=_run_hedge),
-    ServeScenario("latency-under-chaos",
-                  "QBus device timeouts vs retries, with fault-free twin",
-                  full=ServeHorizon(150_000, 1_200_000),
-                  quick=ServeHorizon(60_000, 400_000),
-                  runner=_run_latency_under_chaos),
+SERVE_SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario("steady-poisson",
+             "Poisson arrivals under capacity meet every SLO",
+             full=Horizon(150_000, 1_200_000),
+             quick=Horizon(60_000, 400_000),
+             runner=_run_steady),
+    Scenario("bursty-shed",
+             "on/off bursts past capacity shed at the door",
+             full=Horizon(150_000, 1_200_000),
+             quick=Horizon(60_000, 400_000),
+             runner=_run_bursty),
+    Scenario("hedge-tail",
+             "hedged requests race a second server for the tail",
+             full=Horizon(150_000, 900_000),
+             quick=Horizon(60_000, 400_000),
+             runner=_run_hedge),
+    Scenario("latency-under-chaos",
+             "QBus device timeouts vs retries, with fault-free twin",
+             full=Horizon(150_000, 1_200_000),
+             quick=Horizon(60_000, 400_000),
+             runner=_run_latency_under_chaos),
 )
-
-
-def serve_scenario_names() -> List[str]:
-    return [scenario.name for scenario in SERVE_SCENARIOS]
 
 
 # ---------------------------------------------------------------------------
@@ -493,46 +462,18 @@ class ServeReport:
 
 def run_serve_campaign(seed: int = DEFAULT_SEED, quick: bool = False,
                        scenarios: Optional[List[str]] = None,
-                       jobs: int = 1,
-                       progress: Optional[Callable[[str], None]] = None
-                       ) -> ServeReport:
+                       jobs: int = 1) -> ServeReport:
     """Run the pinned serving scenarios and return the campaign report.
 
     Every scenario derives its workload, arrivals, and (where armed)
     fault schedule from ``seed`` alone, so ``jobs > 1`` fans scenarios
-    out over worker processes and merges the outcomes back in pinned
-    order — the report is byte-identical at any job count.
+    out over worker processes and the outcomes come back in the order
+    named — the report is byte-identical at any job count.  The trial
+    pipeline is imported here, not at module level, so importing this
+    module leaves the observatory unloaded.
     """
-    selected = list(SERVE_SCENARIOS)
-    if scenarios:
-        by_name = {s.name: s for s in SERVE_SCENARIOS}
-        unknown = sorted(set(scenarios) - set(by_name))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown serve scenario(s) {', '.join(unknown)}; "
-                f"pinned: {', '.join(serve_scenario_names())}")
-        selected = [by_name[name] for name in scenarios]
-    outcomes: List[ServeOutcome] = []
-    if jobs is not None and jobs > 1 and len(selected) > 1:
-        from repro.observatory.runner import (describe_serve_spec,
-                                              run_ordered, serve_scenario)
-        specs = [(scenario.name, quick, seed) for scenario in selected]
-        if progress is not None:
-            for scenario in selected:
-                progress(f"{scenario.name}: {scenario.description}")
-        outcomes = run_ordered(specs, serve_scenario, jobs=jobs,
-                               describe=describe_serve_spec)
-        if progress is not None:
-            for outcome in outcomes:
-                progress(f"  {outcome.name}: {outcome.verdict}")
-    else:
-        for scenario in selected:
-            if progress is not None:
-                progress(f"{scenario.name}: {scenario.description}")
-            horizon = scenario.horizon(quick)
-            outcome = scenario.runner(scenario, horizon, seed)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(f"  {scenario.name}: {outcome.verdict}")
+    from repro.observatory.trials import run_scenarios
+
     return ServeReport(seed=seed, mode="quick" if quick else "full",
-                       outcomes=outcomes)
+                       outcomes=run_scenarios("serve", seed, quick,
+                                              scenarios, jobs))

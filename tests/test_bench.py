@@ -23,7 +23,7 @@ from repro.observatory import (
     bench_files,
     compare_bench,
     next_bench_path,
-    run_scenario,
+    run_suite,
     scenario_names,
     validate_bench,
     write_bench,
@@ -158,20 +158,22 @@ class TestBenchRuns:
     @pytest.mark.slow
     def test_run_scenario_measures_throughput_and_metrics(self):
         scenario = SCENARIOS[0]  # exerciser-1cpu
-        result = run_scenario(scenario, quick=True, trials=1)
-        assert len(result.trials) == 1
-        trial = result.trials[0]
-        assert trial.cycles >= scenario.quick.total
-        assert trial.ticks_per_second > 0
-        assert result.noise == 0.0
-        assert 0.0 < result.metrics["bus_load"] < 1.0
-        assert result.metrics["mean_tpi"] > 0
+        document = run_suite(quick=True, trials=1,
+                             scenarios=[scenario.name], skip_overhead=True)
+        result = document["scenarios"][scenario.name]
+        assert len(result["trials"]) == 1
+        trial = result["trials"][0]
+        assert trial["cycles"] >= scenario.quick.total
+        assert trial["ticks_per_second"] > 0
+        assert result["noise"] == 0.0
+        assert 0.0 < result["metrics"]["bus_load"] < 1.0
+        assert result["metrics"]["mean_tpi"] > 0
 
     def test_trial_count_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_scenario(SCENARIOS[0], trials=0)
-        with pytest.raises(ConfigurationError):
-            run_scenario(SCENARIOS[0], trials=99)
+        for trials in (0, 99):
+            with pytest.raises(ConfigurationError):
+                run_suite(trials=trials, scenarios=[SCENARIOS[0].name],
+                          skip_overhead=True)
 
     @pytest.mark.slow
     def test_cli_injected_regression_exits_nonzero(self, tmp_path, capsys):
@@ -208,4 +210,4 @@ class TestBenchRuns:
         code = main(["bench", "--scenario", "does-not-exist",
                      "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "unknown scenario" in capsys.readouterr().err
+        assert "unknown bench scenario" in capsys.readouterr().err

@@ -22,7 +22,6 @@ import pytest
 
 from repro.campaign import (
     CampaignStore,
-    campaign_trial,
     gc_campaign,
     golden_block,
     load_spec,
@@ -37,6 +36,7 @@ from repro.common.provenance import (
     provenance_stamp,
 )
 from repro.observatory.runner import TrialFailure
+from repro.observatory.trials import TrialSpec, run_trial
 from repro.reporting import render_dashboard
 
 pytestmark = pytest.mark.campaign
@@ -169,6 +169,20 @@ class TestSpecValidation:
         ({"kind": "probe", "name": ""}, "name"),
         ({"kind": "sweep", "exclude": [{"threads": 1}]}, "unknown axis"),
         ({"kind": "sweep", "exclude": ["np1"]}, "mapping"),
+        # YAML booleans are ints to Python; no integer key takes one.
+        ({"kind": "sweep", "processors": [True]},
+         "processors must be an integer"),
+        ({"kind": "sweep", "warmup": False}, "warmup must be an integer"),
+        ({"kind": "sweep", "measure": True}, "measure must be an integer"),
+        ({"kind": "vector", "processors": True},
+         "processors must be an integer"),
+        ({"kind": "vector", "instructions": True},
+         "instructions must be an integer"),
+        ({"kind": "probe", "offset": True}, "offset must be an integer"),
+        ({"kind": "probe", "spin": False}, "spin must be an integer"),
+        # A spec still carrying the old engine axis fails loudly.
+        ({"kind": "bench", "engine": "heap"},
+         r"unknown key\(s\) for kind 'bench': engine"),
     ])
     def test_bad_groups(self, group, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
@@ -432,26 +446,27 @@ class TestGolden:
 
 class TestWorker:
     def test_probe_is_pure(self):
-        result = campaign_trial(("probe", "probe/t/s5", 5,
-                                 {"name": "t", "offset": 2}))
+        result = run_trial(TrialSpec("probe", "probe/t/s5", 5,
+                                     {"name": "t", "offset": 2}))
         assert result == {"seed": 5, "value": 27}
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError, match="kind"):
-            campaign_trial(("mystery", "x", 1, {}))
+            run_trial(TrialSpec("mystery", "x", 1, {}))
 
     @pytest.mark.slow
-    def test_sweep_trial_matches_sweep_point(self):
-        from repro.observatory.runner import sweep_point
+    def test_sweep_trial_matches_sweep_point(self, tmp_path):
+        """A campaign sweep trial stores exactly the point
+        ``firefly-sim sweep`` reports for the same grid cell."""
+        from repro.observatory.runner import run_sweep
 
-        params = {"processors": 1, "protocol": "firefly",
-                  "generation": "microvax", "warmup": 500,
-                  "measure": 2000}
-        via_campaign = campaign_trial(
-            ("sweep", "sweep/np1/firefly/microvax/s1987", 1987, params))
-        direct = sweep_point((1, "firefly", "microvax", 1987, 500,
-                              2000))
-        assert via_campaign == direct
+        data = spec_dict(seeds=[1987], matrix=[{
+            "kind": "sweep", "processors": 1, "warmup": 500,
+            "measure": 2000}])
+        run = run_campaign_spec(parse_spec(data), CampaignStore(tmp_path))
+        via_campaign = run.report["trials"][0]["result"]
+        direct = run_sweep([1], [1987], warmup=500, measure=2000)
+        assert via_campaign == direct["points"][0]
 
 
 # ---------------------------------------------------------------------------

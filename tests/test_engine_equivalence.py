@@ -1,24 +1,75 @@
-"""The engine contract: wheel and heap are indistinguishable in-sim.
+"""The event wheel against its oracle: a plain binary heap.
 
 The event wheel exists purely for host throughput.  These tests pin
 the contract from docs/PERFORMANCE.md: for any schedule — adversarial
-ones included — the wheel dispatches events in exactly the heap's
-``(time, seq)`` order, so every simulated metric and every telemetry
-event is identical; and the bench/campaign plumbing that selects an
-engine never changes a simulated byte at any job count.
+ones included — the wheel dispatches events in exactly the ``(time,
+seq)`` order a binary heap pops them, so every simulated metric and
+every telemetry event is identical.  The heap lives here, not in the
+simulator: :func:`engine` swaps it in for every :class:`Simulator`
+built inside the context.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from heapq import heappop, heappush
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.events import (ENGINES, WHEEL_SIZE, Simulator,
-                                 default_engine, set_default_engine)
+from repro.common import events
+from repro.common.errors import SimulationError
+from repro.common.events import WHEEL_SIZE, Simulator
 from repro.system import FireflyConfig, FireflyMachine
 from repro.telemetry import telemetry_for_machine
+
+ENGINES = ("wheel", "heap")
+
+
+class HeapScheduler:
+    """The pop-order oracle: pending events in a binary heap.
+
+    Entries are ``(time, seq, proc, value, callback)`` tuples popped in
+    ``(time, seq)`` order — ``seq`` is the simulator's global schedule
+    counter, so same-time events resume in scheduling order.  It offers
+    the wheel's interface (``push``, ``peek``, ``drain``, ``len``).
+    """
+
+    def __init__(self, sim) -> None:
+        self._heap = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, time, seq, proc, value, callback) -> None:
+        heappush(self._heap, (time, seq, proc, value, callback))
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else None
+
+    def drain(self, sim, limit) -> None:
+        """Dispatch all events, or those with ``time <= limit``."""
+        heap = self._heap
+        while heap and (limit is None or heap[0][0] <= limit):
+            time, _, proc, value, callback = heappop(heap)
+            sim.now = time
+            if callback is None:
+                if proc is not None:
+                    proc._step(value)
+            else:
+                sim._current = None
+                callback()
+
+
+@contextmanager
+def engine(name: str, wheel_size: int = WHEEL_SIZE):
+    """Every Simulator built inside runs on ``name``: the production
+    wheel (of ``wheel_size`` slots) or the heap oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events, "WHEEL_SIZE", wheel_size)
+        if name == "heap":
+            patch.setattr(events, "_WheelScheduler", HeapScheduler)
+        yield
 
 #: Adversarial delay palette: same-tick ties (0 twice), dense small
 #: delays, the wheel-size boundary itself, and far-future overflow.
@@ -27,7 +78,7 @@ DELAYS = (0, 0, 1, 1, 2, 3, 7, 64, 1023, 1024, 1500, 4096)
 SEEDS = range(1987, 2002)
 
 
-def _schedule_log(engine: str, seed: int, wheel_size=None,
+def _schedule_log(name: str, seed: int, wheel_size: int = WHEEL_SIZE,
                   until=None) -> list:
     """Dispatch log of one randomized adversarial schedule.
 
@@ -37,10 +88,12 @@ def _schedule_log(engine: str, seed: int, wheel_size=None,
     self-reschedules and same-tick ties) plus bare callback chains
     whose offsets cross the wheel's horizon repeatedly.
     """
-    kwargs = {"engine": engine}
-    if wheel_size is not None:
-        kwargs["wheel_size"] = wheel_size
-    sim = Simulator(**kwargs)
+    with engine(name, wheel_size):
+        sim = Simulator()
+    if name == "heap":
+        assert isinstance(sim._sched, HeapScheduler)
+    else:
+        assert len(sim._sched._slots) == wheel_size
     rng = random.Random(seed)
     plans = [[rng.choice(DELAYS) for _ in range(30)] for _ in range(12)]
     chains = [[rng.choice(DELAYS) for _ in range(10)] for _ in range(6)]
@@ -99,8 +152,9 @@ class TestPopOrderEquivalence:
         """Zero-delay self-reschedules dispatch in schedule order
         within one tick, identically on both engines."""
         logs = {}
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
+        for name in ENGINES:
+            with engine(name):
+                sim = Simulator()
             log = []
 
             def storm(wid, sim=sim, log=log):
@@ -111,14 +165,15 @@ class TestPopOrderEquivalence:
             for wid in range(8):
                 sim.process(storm(wid), name=f"s{wid}")
             sim.run()
-            logs[engine] = log
+            logs[name] = log
         assert logs["wheel"] == logs["heap"]
         assert all(entry[2] == 0 for entry in logs["wheel"])
 
     def test_lone_far_future_sleeper_skips_rotation(self):
         """An empty wheel jumps straight to the overflow head."""
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
+        for name in ENGINES:
+            with engine(name):
+                sim = Simulator()
             fired = []
             sim.call_at(10 * WHEEL_SIZE, lambda: fired.append(sim.now))
             sim.run()
@@ -126,19 +181,16 @@ class TestPopOrderEquivalence:
             assert sim.now == 10 * WHEEL_SIZE
 
 
-def _run_machine(engine: str, seed: int = 1987,
+def _run_machine(name: str, seed: int = 1987,
                  with_telemetry: bool = False):
-    previous = set_default_engine(engine)
-    try:
+    with engine(name):
         machine = FireflyMachine(FireflyConfig(processors=2, seed=seed))
-        assert machine.sim.engine == engine
-        hub = None
-        if with_telemetry:
-            hub, sampler = telemetry_for_machine(machine)
-            sampler.start()
-        metrics = machine.run(warmup_cycles=2_000, measure_cycles=10_000)
-    finally:
-        set_default_engine(previous)
+    assert isinstance(machine.sim._sched, HeapScheduler) == (name == "heap")
+    hub = None
+    if with_telemetry:
+        hub, sampler = telemetry_for_machine(machine)
+        sampler.start()
+    metrics = machine.run(warmup_cycles=2_000, measure_cycles=10_000)
     return metrics.to_dict(), (hub.emitted if hub is not None else None)
 
 
@@ -163,78 +215,15 @@ class TestModelEquivalence:
         scenario = next(s for s in SCENARIOS
                         if s.name == "core-microbench")
         results = {}
-        for engine in ENGINES:
-            previous = set_default_engine(engine)
-            try:
-                results[engine] = scenario.runner(
-                    scenario, scenario.quick, 1987)
-            finally:
-                set_default_engine(previous)
+        for name in ENGINES:
+            with engine(name):
+                results[name] = scenario.runner(scenario, scenario.quick,
+                                                1987)
         assert results["wheel"] == results["heap"]
         cycles, metrics = results["wheel"]
         assert cycles == scenario.quick.total
         assert metrics["events_scheduled"] > 0
         assert metrics["grants"] > 0
-
-
-def _simulated_view(document):
-    """A BENCH document with every host/wall-clock field stripped."""
-    return {
-        name: {
-            "metrics": entry["metrics"],
-            "trials": [(t["seed"], t["cycles"]) for t in entry["trials"]],
-        }
-        for name, entry in document["scenarios"].items()
-    }
-
-
-class TestBenchEngineAxis:
-    def test_engine_and_jobs_never_change_simulated_fields(self):
-        """wheel@jobs=1 vs heap@jobs=4: identical simulated content."""
-        from repro.observatory.bench import run_suite
-
-        serial = run_suite(quick=True, trials=2,
-                           scenarios=["core-microbench"],
-                           skip_overhead=True, jobs=1, engine="wheel")
-        fanned = run_suite(quick=True, trials=2,
-                           scenarios=["core-microbench"],
-                           skip_overhead=True, jobs=4, engine="heap")
-        assert serial["engine"] == "wheel"
-        assert fanned["engine"] == "heap"
-        assert _simulated_view(serial) == _simulated_view(fanned)
-
-    def test_run_suite_restores_ambient_default(self):
-        from repro.observatory.bench import run_suite
-
-        before = default_engine()
-        run_suite(quick=True, trials=1, scenarios=["core-microbench"],
-                  skip_overhead=True, engine="heap")
-        assert default_engine() == before
-
-
-class TestEngineConfiguration:
-    def test_default_is_wheel(self):
-        assert default_engine() == "wheel"
-        assert Simulator().engine == "wheel"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown event engine"):
-            Simulator(engine="splay")
-        with pytest.raises(ConfigurationError, match="unknown event engine"):
-            set_default_engine("splay")
-
-    def test_set_default_returns_previous(self):
-        previous = set_default_engine("heap")
-        try:
-            assert previous == "wheel"
-            assert Simulator().engine == "heap"
-        finally:
-            set_default_engine(previous)
-
-    def test_wheel_size_must_be_power_of_two(self):
-        for bad in (0, 1, 3, 1000):
-            with pytest.raises(ConfigurationError, match="power of two"):
-                Simulator(engine="wheel", wheel_size=bad)
 
 
 class TestSchedulingErrorContext:

@@ -20,12 +20,8 @@ import pytest
 
 from repro.faults.chaos import run_campaign
 from repro.observatory.bench import run_suite
-from repro.observatory.runner import (
-    TrialFailure,
-    run_ordered,
-    run_sweep,
-    sweep_point,
-)
+from repro.observatory.runner import TrialFailure, run_ordered, run_sweep
+from repro.observatory.trials import TrialSpec, run_trial
 
 pytestmark = pytest.mark.observatory
 
@@ -209,7 +205,10 @@ class TestSweepValidation:
             run_sweep(processor_counts=[0], seeds=[1987])
 
     def test_sweep_point_worker_is_self_contained(self):
-        point = sweep_point((1, "firefly", "microvax", 1987, 1_000, 4_000))
+        point = run_trial(TrialSpec(
+            "sweep", "sweep/np1/firefly/microvax/s1987", 1987,
+            {"processors": 1, "protocol": "firefly",
+             "generation": "microvax", "warmup": 1_000, "measure": 4_000}))
         assert point["processors"] == 1
         assert point["seed"] == 1987
         assert 0.0 < point["bus_load"] <= 1.0

@@ -19,6 +19,7 @@ from repro.serving import (
     run_serve_campaign,
 )
 from repro.serving.policies import _sleep
+from repro.system.scenario import Horizon, Scenario
 from repro.topaz import ops
 from repro.topaz.kernel import TopazKernel
 from repro.topaz.rpc import RpcParams, RpcTransport
@@ -395,10 +396,9 @@ class TestServeCampaign:
                                     "budget 1"]
             return outcome
 
-        scenario = engine.ServeScenario(
+        scenario = Scenario(
             "always-fail", "pinned failure for the exit-code contract",
-            full=engine.ServeHorizon(0, 0),
-            quick=engine.ServeHorizon(0, 0), runner=failing_runner)
+            full=Horizon(0, 0), quick=Horizon(0, 0), runner=failing_runner)
         monkeypatch.setattr(engine, "SERVE_SCENARIOS", (scenario,))
         assert cli.main(["serve", "--quick"]) == 1
         report = engine.run_serve_campaign(quick=True)
@@ -430,8 +430,7 @@ class TestCausalUnderChaos:
         from repro.causal.assemble import SEGMENTS
         from repro.faults.models import QBusFaultModel
         from repro.faults.plan import FaultKind, FaultPlan, spec
-        from repro.serving.engine import (SERVE_ETHERNET, ServeHorizon,
-                                          _chaos_resilience,
+        from repro.serving.engine import (SERVE_ETHERNET, _chaos_resilience,
                                           _chaos_topology, _drive_serving)
 
         workload = ServingWorkload(_chaos_topology(), _chaos_resilience(),
@@ -444,7 +443,7 @@ class TestCausalUnderChaos:
         qbus_model = QBusFaultModel(timeout_cycles=4_000, max_retries=3,
                                     degraded_penalty_cycles=30)
         tracer, injector = _drive_serving(
-            workload, ServeHorizon(60_000, 400_000), plan=plan,
+            workload, Horizon(60_000, 400_000), plan=plan,
             qbus_model=qbus_model)
         assert workload.resilient.stats["retries"].total > 0
         assert tracer.assembled > 0

@@ -186,11 +186,11 @@ class TestValidationAndWiring:
         assert metrics["np4.bus_load"] > metrics["np2.bus_load"]
 
     def test_campaign_vector_kind(self):
-        from repro.campaign.engine import campaign_trial
+        from repro.observatory.trials import TrialSpec, run_trial
 
-        result = campaign_trial(("vector", "vector/np2/i5000/s1987",
-                                 1987, {"processors": 2,
-                                        "instructions": 5_000}))
+        result = run_trial(TrialSpec("vector", "vector/np2/i5000/s1987",
+                                     1987, {"processors": 2,
+                                            "instructions": 5_000}))
         assert result["seed"] == 1987
         assert result["cycles"] > 5_000
         assert "backend" not in result["metrics"]
