@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall =="
-python -m compileall -q src examples benchmarks
+python -m compileall -q src examples benchmarks scripts
 
 echo "== no tracked bytecode =="
 if git ls-files | grep -E '(__pycache__|\.py[co]$)' >/dev/null 2>&1; then
@@ -35,30 +35,20 @@ python -m pytest -q fireflybench
 echo "== static verification (firefly-sim verify) =="
 python -m repro.cli verify --all-protocols
 
-echo "== bench smoke + overhead gate (firefly-sim bench --jobs 2) =="
+echo "== bench smoke + overhead gates (firefly-sim bench --jobs 2) =="
 # Quick suite with two parallel workers into a scratch dir: proves the
-# deterministic trial executor end-to-end and enforces the <=2%
-# disabled-telemetry overhead budget (no --skip-overhead: a breach
-# fails this script).  Nothing touches BENCH_*.json at the repo root.
+# deterministic trial executor end to end and runs both paired overhead
+# gates, disabled telemetry and the flight recorder (16 pairs each,
+# about 20 s; no --skip-overhead: a gate whose lower bound exceeds its
+# 2% budget fails this script).  Speed comparisons between revisions
+# are scripts/ab.py's job.  Nothing touches BENCH_*.json at the repo
+# root.
 BENCH_TMP=$(mktemp -d)
 trap 'rm -rf "$BENCH_TMP"' EXIT
 python -m repro.cli bench --quick --trials 1 --jobs 2 \
     --scenario exerciser-1cpu --scenario table1-sweep \
     --scenario core-microbench --scenario vector-stat \
     --out-dir "$BENCH_TMP"
-
-echo "== bench regression gate vs committed baseline =="
-# The scheduler-only microbenchmark compared against the newest
-# committed BENCH_*.json at the repo root: an event-core regression
-# fails CI here before any model-level scenario would notice.  The
-# committed baselines are full-mode runs from a different host, so the
-# threshold is deliberately loose (the noise-aware margin widens it
-# further) — it catches order-of-magnitude scheduler breakage, not
-# single-digit host drift.
-python -m repro.cli bench --quick --trials 1 \
-    --scenario core-microbench --scenario vector-stat \
-    --skip-overhead --out-dir "$BENCH_TMP" \
-    --baseline-dir . --compare --threshold 0.6
 
 echo "== chaos smoke + jobs parity (firefly-sim chaos --jobs 2) =="
 # One quick seeded fault campaign: proves every recovery path end to
@@ -91,8 +81,8 @@ cmp "$SERVE_OUT" "$SERVE_TMP/serve-j1.json"
 echo "== campaign smoke (firefly-sim campaign run + report) =="
 # The quick example campaign through the resumable ledger into a
 # scratch store (golden digests included — drift exits nonzero), then
-# the HTML dashboard over the committed BENCH trajectory plus that
-# ledger (see docs/CAMPAIGNS.md).
+# the HTML dashboard over the committed BENCH files plus that ledger
+# (see docs/CAMPAIGNS.md).
 CAMPAIGN_TMP=$(mktemp -d)
 trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP" "$SERVE_TMP" "$CAMPAIGN_TMP"' EXIT
 python -m repro.cli campaign run examples/campaigns/quick.yaml \

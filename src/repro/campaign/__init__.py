@@ -16,7 +16,7 @@ that a first-class, resumable artifact instead of a shell loop:
 - :mod:`repro.campaign.engine` — expansion → skip-completed → ordered
   fan-out → durable append → merged report → golden verdicts.
 
-The regression-observatory dashboard over BENCH_* trajectories and
+The observatory dashboard over the committed BENCH_* files and
 campaign ledgers lives in :mod:`repro.reporting.html`.  See
 docs/CAMPAIGNS.md.
 """

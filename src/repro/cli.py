@@ -35,9 +35,12 @@ Subcommands:
     the pure generated oracle instead of the simulator.  Exits
     non-zero on any violation; see docs/VERIFY.md.
 ``bench``
-    Run the pinned benchmark suite, write ``BENCH_<n>.json``, and
-    optionally compare against the previous BENCH file with the
-    noise-aware regression detector.  See docs/OBSERVATORY.md.
+    Run the pinned benchmark suite and write ``BENCH_<n>.json``: the
+    scenarios' simulated metrics at pinned seeds, and the two paired
+    CPU-time gates on the cost of observing (disabled telemetry and
+    the flight recorder).  Exits non-zero when a gate fails.  Speed
+    comparisons between revisions use ``fireflybench/`` through
+    ``scripts/ab.py``.  See docs/OBSERVATORY.md.
 ``chaos``
     Run the seeded fault-injection campaigns: pinned scenarios covering
     bus parity corruption, SECDED memory flips, dropped snoops, CPU
@@ -64,8 +67,8 @@ Subcommands:
     ledger, skipping already-completed trials, checking pinned golden
     digests, and writing a byte-deterministic merged report;
     ``resume`` is ``run`` that refuses to start from an empty ledger;
-    ``report`` renders the static HTML regression dashboard from the
-    committed ``BENCH_<n>.json`` trajectory plus the campaign ledgers;
+    ``report`` renders the static HTML dashboard from the committed
+    ``BENCH_<n>.json`` files plus the campaign ledgers;
     ``gc`` compacts a ledger to the rows the current spec and git
     revision can still use.
 
@@ -100,8 +103,7 @@ Examples::
     firefly-sim verify --all-protocols --dma
     firefly-sim verify --all-protocols --oracle dsl --json findings.json
     firefly-sim bench --quick
-    firefly-sim bench --compare --threshold 0.2
-    firefly-sim bench --quick --jobs 4 --baseline-dir . --compare
+    firefly-sim bench --quick --jobs 4 --out-dir /tmp/bench
     firefly-sim chaos --quick
     firefly-sim chaos --seed 2024 --scenario snoop-storm --json report.json
     firefly-sim chaos --quick --jobs 4
@@ -267,21 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run only this scenario (repeatable)")
     bench.add_argument("--out-dir", default=".",
                        help="directory for BENCH_<n>.json (default: .)")
-    bench.add_argument("--compare", action="store_true",
-                       help="compare against the newest committed BENCH "
-                            "file; exit nonzero on a regression")
-    bench.add_argument("--baseline", metavar="PATH", default=None,
-                       help="BENCH file to compare against "
-                            "(default: newest BENCH_<n>.json in "
-                            "--baseline-dir)")
-    bench.add_argument("--baseline-dir", metavar="DIR", default=None,
-                       help="directory searched for the newest baseline "
-                            "BENCH file (default: --out-dir)")
-    bench.add_argument("--threshold", type=float, default=0.2,
-                       help="regression threshold as a fraction "
-                            "(default 0.2; widened by trial noise)")
     bench.add_argument("--skip-overhead", action="store_true",
-                       help="skip the disabled-tracing overhead guard")
+                       help="skip the observability overhead gates")
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes for (scenario x trial) "
                             "fan-out; simulated results are identical "
@@ -353,11 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                "pinning this run's digests")
 
     reportp = campaign_sub.add_parser(
-        "report", help="render the static HTML regression dashboard")
+        "report", help="render the static HTML dashboard")
     _campaign_common(reportp, with_spec=False)
     reportp.add_argument("--bench-dir", default=".", metavar="DIR",
                          help="directory holding the BENCH_<n>.json "
-                              "trajectory (default .)")
+                              "files (default .)")
     reportp.add_argument("--out", default="dashboard.html",
                          metavar="PATH",
                          help="output HTML path (default "
@@ -720,25 +709,12 @@ def _cmd_postmortem(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.common.errors import ConfigurationError
-    from repro.observatory import (bench_files, compare_bench, load_bench,
-                                   run_suite, write_bench)
+    from repro.observatory import run_suite, write_bench
+    from repro.observatory.bench import overhead_verdicts
 
     out_dir = Path(args.out_dir)
     if not out_dir.is_dir():
         raise ConfigurationError(f"--out-dir {out_dir} is not a directory")
-    if args.baseline is not None:
-        previous = Path(args.baseline)
-        if not previous.is_file():
-            raise ConfigurationError(f"--baseline {previous} does not exist")
-    else:
-        baseline_dir = Path(args.baseline_dir) if args.baseline_dir \
-            else out_dir
-        if not baseline_dir.is_dir():
-            raise ConfigurationError(
-                f"--baseline-dir {baseline_dir} is not a directory")
-        existing = bench_files(baseline_dir)
-        previous = existing[-1] if existing else None
-
     document = run_suite(quick=args.quick, trials=args.trials,
                          scenarios=args.scenario,
                          skip_overhead=args.skip_overhead,
@@ -753,33 +729,14 @@ def _cmd_bench(args) -> int:
                       entry["noise"])
     print(table.render())
     overhead = document["overhead"]
-    overhead_failed = False
     if overhead is not None:
-        print(f"disabled-tracing overhead: "
-              f"{(overhead['disabled_ratio'] - 1.0) * 100:+.1f}% "
-              f"(budget {overhead['budget']:.0%})")
-        if "recorder_ratio" in overhead:
-            print(f"flight-recorder overhead: "
-                  f"{(overhead['recorder_ratio'] - 1.0) * 100:+.1f}% "
-                  f"(budget {overhead['recorder_budget']:.0%})")
-        if not overhead["ok"]:
-            overhead_failed = True
-            print("error: observability overhead exceeds its wall-clock "
-                  "budget", file=sys.stderr)
+        for passed, line in overhead_verdicts(overhead):
+            if passed:
+                print(line)
+            else:
+                print(f"error: {line} exceeds its budget", file=sys.stderr)
     print(f"bench: wrote {path}")
-
-    if args.compare:
-        if previous is None:
-            print("bench: no previous BENCH file to compare against")
-            return 1 if overhead_failed else 0
-        report = compare_bench(load_bench(previous), document,
-                               threshold=args.threshold)
-        print()
-        print(f"comparing against {previous.name}:")
-        print(report.render())
-        if not report.ok:
-            return 1
-    return 1 if overhead_failed else 0
+    return 0 if overhead is None or overhead["ok"] else 1
 
 
 def _cmd_scenarios(args) -> int:

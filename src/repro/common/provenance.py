@@ -21,7 +21,7 @@ to the code and configuration that produced it:
 Readers must tolerate the absence of every provenance field: artifacts
 written before this module existed (``BENCH_0001.json``,
 ``BENCH_0002.json``) carry none of them and remain first-class inputs
-to the regression observatory.
+to the observatory dashboard.
 """
 
 from __future__ import annotations

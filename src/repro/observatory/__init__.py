@@ -9,8 +9,8 @@ Three instruments over one simulated machine:
   evaluated continuously at measured rates, with residual bands
   (the live Table 1 vs Table 2 gap);
 - :mod:`repro.observatory.bench` — the pinned ``firefly-sim bench``
-  suite, BENCH_<n>.json files, and the noise-aware regression
-  detector.
+  suite: simulated-metric canaries in BENCH_<n>.json files, and the
+  paired wall-clock gates on the cost of observing.
 
 Every harness runs its seeded trials through one pipeline: the
 trial-kind registry of :mod:`repro.observatory.trials` over the
@@ -21,12 +21,8 @@ See docs/OBSERVATORY.md.
 
 from repro.observatory.bench import (
     BENCH_SCHEMA,
-    DEFAULT_THRESHOLD,
     SCENARIOS,
-    CompareReport,
-    ScenarioDelta,
     bench_files,
-    compare_bench,
     load_bench,
     measure_overhead,
     next_bench_path,
@@ -57,22 +53,18 @@ from repro.observatory.spans import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "DEFAULT_THRESHOLD",
     "SCENARIOS",
     "BusSpan",
     "CacheSpan",
-    "CompareReport",
     "DivergenceBands",
     "DivergenceMonitor",
     "DivergenceReport",
     "DivergenceSample",
     "MetricVerdict",
     "SWEEP_SCHEMA",
-    "ScenarioDelta",
     "SpanTracer",
     "TrialFailure",
     "bench_files",
-    "compare_bench",
     "load_bench",
     "measure_overhead",
     "next_bench_path",

@@ -1,37 +1,27 @@
-"""The static regression-observatory dashboard (stdlib-only HTML).
+"""The static observatory dashboard (stdlib-only HTML).
 
 ``firefly-sim campaign report`` renders one self-contained HTML file —
 no server, no JavaScript, no external assets — from two inputs:
 
-- the committed ``BENCH_<n>.json`` trajectory (perf history across
-  PRs): per-scenario ticks/s trend charts with noise bands, and the
-  noise-aware regression verdicts of
-  :func:`repro.observatory.bench.compare_bench` between consecutive
-  files;
+- the committed ``BENCH_<n>.json`` files: the Table 1 sweep's §5.2
+  model residuals and the observability overhead gates of each file;
 - campaign ledgers from the :mod:`repro.campaign` store: trial
   rollups, §5.2 divergence residuals from sweep/table1 results, and
   the chaos recovery-time ledger (detect latency and recovery time per
   injected fault).
 
-Charts are inline SVG with hover ``<title>`` tooltips and an adjacent
-table view of the same numbers; colors come from a CVD-validated
-palette declared once as CSS custom properties with selected light and
-dark steps (``prefers-color-scheme`` plus a ``data-theme`` override).
-The output contains no timestamps or host fields, so regenerating the
-dashboard from the same inputs is byte-identical.
+Colors are declared once as CSS custom properties with selected light
+and dark steps (``prefers-color-scheme`` plus a ``data-theme``
+override).  The output contains no timestamps or host fields, so
+regenerating the dashboard from the same inputs is byte-identical.
+Host speed is not plotted here: the repository's speed instrument is
+``fireflybench/``.
 """
 
 from __future__ import annotations
 
 import html as _html
-from typing import Dict, List, Optional, Sequence, Tuple
-
-# Categorical series slots (validated order, light/dark selected per
-# surface); scenarios take slots in sorted order and never cycle.
-_SERIES_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100", "#e87ba4",
-                 "#008300", "#4a3aa7", "#e34948")
-_SERIES_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500", "#d55181",
-                "#008300", "#9085e9", "#e66767")
+from typing import Dict, List, Sequence, Tuple
 
 _CSS = """
 .ffly {
@@ -43,7 +33,6 @@ _CSS = """
   --grid: #d8d7d2;
   --good: #008300;
   --bad: #c73635;
-  --band: rgba(42, 120, 214, 0.16);
   font: 14px/1.45 system-ui, sans-serif;
   color: var(--text-primary);
   background: var(--surface-1);
@@ -60,7 +49,6 @@ _CSS = """
     --text-secondary: #c3c2b7;
     --grid: #44443f;
     --bad: #e66767;
-    --band: rgba(57, 135, 229, 0.22);
   }
 }
 :root[data-theme="dark"] .ffly {
@@ -71,7 +59,6 @@ _CSS = """
   --text-secondary: #c3c2b7;
   --grid: #44443f;
   --bad: #e66767;
-  --band: rgba(57, 135, 229, 0.22);
 }
 .ffly h1 { font-size: 22px; margin: 0 0 4px; }
 .ffly h2 { font-size: 17px; margin: 28px 0 8px; }
@@ -103,7 +90,6 @@ _CSS = """
 .ffly .chip.good { color: var(--good); border-color: var(--good); }
 .ffly .chip.bad { color: var(--bad); border-color: var(--bad); }
 .ffly .mono { font-family: ui-monospace, monospace; font-size: 12px; }
-.ffly svg text { fill: var(--text-secondary); font-size: 10px; }
 .ffly .note { color: var(--text-secondary); font-size: 12px; }
 """
 
@@ -112,194 +98,30 @@ def _esc(value) -> str:
     return _html.escape(str(value), quote=True)
 
 
-def _fmt(value: float) -> str:
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}M"
-    if value >= 1e3:
-        return f"{value / 1e3:.0f}K"
-    return f"{value:.3g}"
-
-
-# ---------------------------------------------------------------------------
-# SVG marks
-
-
-def _line_chart(points: Sequence[Tuple[str, float]],
-                band: Optional[Sequence[Tuple[float, float]]] = None,
-                color: str = "var(--series)", width: int = 300,
-                height: int = 110, unit: str = "") -> str:
-    """One series as an SVG line with optional noise band.
-
-    ``points`` are ``(x label, value)``; the y scale is anchored at
-    zero so trajectory charts cannot exaggerate noise into drama.
-    """
-    if not points:
-        return "<p class='note'>no data</p>"
-    pad_l, pad_r, pad_t, pad_b = 42, 12, 8, 18
-    plot_w = width - pad_l - pad_r
-    plot_h = height - pad_t - pad_b
-    top = max(value for _, value in points)
-    if band:
-        top = max(top, max(hi for _, hi in band))
-    top = top * 1.08 or 1.0
-
-    def x_at(index: int) -> float:
-        if len(points) == 1:
-            return pad_l + plot_w / 2
-        return pad_l + plot_w * index / (len(points) - 1)
-
-    def y_at(value: float) -> float:
-        return pad_t + plot_h * (1.0 - value / top)
-
-    parts = [f"<svg viewBox='0 0 {width} {height}' width='{width}' "
-             f"height='{height}' role='img'>"]
-    # recessive grid: zero line + top gridline with its value
-    parts.append(f"<line x1='{pad_l}' y1='{y_at(0):.1f}' "
-                 f"x2='{width - pad_r}' y2='{y_at(0):.1f}' "
-                 f"stroke='var(--grid)'/>")
-    parts.append(f"<line x1='{pad_l}' y1='{pad_t}' "
-                 f"x2='{width - pad_r}' y2='{pad_t}' "
-                 f"stroke='var(--grid)' stroke-dasharray='2 3'/>")
-    parts.append(f"<text x='{pad_l - 4}' y='{pad_t + 3}' "
-                 f"text-anchor='end'>{_esc(_fmt(top))}</text>")
-    parts.append(f"<text x='{pad_l - 4}' y='{y_at(0) + 3:.1f}' "
-                 f"text-anchor='end'>0</text>")
-    if band:
-        upper = [f"{x_at(i):.1f},{y_at(hi):.1f}"
-                 for i, (_lo, hi) in enumerate(band)]
-        lower = [f"{x_at(i):.1f},{y_at(lo):.1f}"
-                 for i, (lo, _hi) in reversed(list(enumerate(band)))]
-        parts.append(f"<polygon points='{' '.join(upper + lower)}' "
-                     f"fill='var(--band)' stroke='none'/>")
-    path = " ".join(f"{x_at(i):.1f},{y_at(v):.1f}"
-                    for i, (_, v) in enumerate(points))
-    parts.append(f"<polyline points='{path}' fill='none' "
-                 f"stroke='{color}' stroke-width='2' "
-                 f"stroke-linejoin='round'/>")
-    for i, (label, value) in enumerate(points):
-        parts.append(
-            f"<circle cx='{x_at(i):.1f}' cy='{y_at(value):.1f}' r='4' "
-            f"fill='{color}'>"
-            f"<title>{_esc(label)}: {_esc(_fmt(value))}{_esc(unit)}"
-            f"</title></circle>")
-        parts.append(f"<text x='{x_at(i):.1f}' y='{height - 4}' "
-                     f"text-anchor='middle'>{_esc(label)}</text>")
-    # selective direct label: last point only
-    last_label, last_value = points[-1]
-    parts.append(f"<text x='{x_at(len(points) - 1):.1f}' "
-                 f"y='{y_at(last_value) - 7:.1f}' text-anchor='middle'>"
-                 f"{_esc(_fmt(last_value))}{_esc(unit)}</text>")
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _series_style(index: int) -> str:
-    """Per-card style block binding --series for light and dark."""
-    light = _SERIES_LIGHT[index % len(_SERIES_LIGHT)]
-    dark = _SERIES_DARK[index % len(_SERIES_DARK)]
-    return (f"--series:{light};"
-            f"--series-dark:{dark}")
-
-
-# ---------------------------------------------------------------------------
-# sections
-
-
-def _section_trajectory(bench_docs: Sequence[Tuple[str, Dict]]) -> str:
-    scenarios = sorted({name
-                        for _, doc in bench_docs
-                        for name in doc.get("scenarios", {})})
-    if not scenarios:
-        return "<p class='note'>no BENCH files found</p>"
-    cards = []
-    for index, scenario in enumerate(scenarios):
-        points: List[Tuple[str, float]] = []
-        band: List[Tuple[float, float]] = []
-        rows = []
-        for file_name, doc in bench_docs:
-            entry = doc.get("scenarios", {}).get(scenario)
-            if entry is None:
-                continue
-            median = entry["median_ticks_per_second"]
-            noise = entry.get("noise", 0.0)
-            label = file_name.replace("BENCH_", "").replace(".json", "")
-            points.append((label, median))
-            band.append((median * (1.0 - noise / 2.0),
-                         median * (1.0 + noise / 2.0)))
-            rows.append(f"<tr><td>{_esc(file_name)}</td>"
-                        f"<td>{median:,.0f}</td>"
-                        f"<td>{noise:.1%}</td>"
-                        f"<td>{_esc(doc.get('mode', '?'))}</td></tr>")
-        chart = _line_chart(points, band, color="var(--series)",
-                            unit=" t/s")
-        cards.append(
-            f"<div class='card' style='{_series_style(index)}'>"
-            f"<h3>{_esc(scenario)}</h3>{chart}"
-            f"<details><summary class='note'>table</summary>"
-            f"<table><tr><th>file</th><th>ticks/s</th><th>noise</th>"
-            f"<th>mode</th></tr>{''.join(rows)}</table></details></div>")
-    return "<div class='grid'>" + "".join(cards) + "</div>"
-
-
-def _verdict_chip(status: str) -> str:
-    if status == "regression":
-        return "<span class='chip bad'>regression ▼</span>"
-    if status == "improvement":
-        return "<span class='chip good'>improvement ▲</span>"
-    return "<span class='chip'>flat</span>"
-
-
-def _section_verdicts(bench_docs: Sequence[Tuple[str, Dict]]) -> str:
-    from repro.observatory.bench import compare_bench
-
-    if len(bench_docs) < 2:
-        return ("<p class='note'>fewer than two BENCH files — nothing "
-                "to compare</p>")
-    blocks = []
-    for (prev_name, prev), (cur_name, cur) in zip(bench_docs,
-                                                  bench_docs[1:]):
-        report = compare_bench(prev, cur)
-        rows = []
-        for delta in report.deltas:
-            rows.append(
-                f"<tr><td>{_esc(delta.name)}</td>"
-                f"<td>{delta.previous:,.0f}</td>"
-                f"<td>{delta.current:,.0f}</td>"
-                f"<td>{delta.ratio:.3f}×</td>"
-                f"<td>{delta.margin:.0%}</td>"
-                f"<td>{_verdict_chip(delta.status)}</td></tr>")
-        note = ("<p class='note'>quick/full mode mismatch — not "
-                "like-for-like</p>" if report.mode_mismatch else "")
-        blocks.append(
-            f"<h3 class='mono'>{_esc(prev_name)} → {_esc(cur_name)}"
-            f"</h3>{note}<table><tr><th>scenario</th><th>prev t/s</th>"
-            f"<th>cur t/s</th><th>ratio</th><th>margin</th>"
-            f"<th>verdict</th></tr>{''.join(rows)}</table>")
-    return "".join(blocks)
-
-
 def _section_residuals(bench_docs: Sequence[Tuple[str, Dict]],
                        campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
     """§5.2 model residuals: measured bus load minus the prediction."""
-    by_np: Dict[int, List[Tuple[str, float]]] = {}
+    residuals: Dict[str, Dict[int, float]] = {}
     for file_name, doc in bench_docs:
         metrics = doc.get("scenarios", {}) \
             .get("table1-sweep", {}).get("metrics", {})
-        for key, value in sorted(metrics.items()):
-            if key.startswith("np") and key.endswith(".load_residual"):
-                processors = int(key[2:key.index(".")])
-                label = file_name.replace("BENCH_", "") \
-                    .replace(".json", "")
-                by_np.setdefault(processors, []).append((label, value))
+        found = {int(key[2:key.index(".")]): value
+                 for key, value in metrics.items()
+                 if key.startswith("np") and key.endswith(".load_residual")}
+        if found:
+            label = file_name.replace("BENCH_", "").replace(".json", "")
+            residuals[label] = found
+    counts = sorted({processors for found in residuals.values()
+                     for processors in found})
     rows = []
-    for processors in sorted(by_np):
-        cells = "".join(f"<td>{value:+.4f}</td>"
-                        for _, value in by_np[processors])
+    for processors in counts:
+        cells = "".join(f"<td>{found[processors]:+.4f}</td>"
+                        if processors in found else "<td>—</td>"
+                        for found in residuals.values())
         rows.append(f"<tr><td>{processors} CPU(s)</td>{cells}</tr>")
     parts = []
     if rows:
-        heads = "".join(f"<th>{_esc(label)}</th>"
-                        for label, _ in by_np[min(by_np)])
+        heads = "".join(f"<th>{_esc(label)}</th>" for label in residuals)
         parts.append(
             "<p class='sub'>measured bus load − analytic prediction at "
             "the Table 1 operating points; positive means the model "
@@ -359,47 +181,51 @@ def _section_chaos(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
             + "".join(rows) + "</table>")
 
 
+def _gate_cells(overhead: Dict, gate: str) -> str:
+    """Median, bound and verdict cells of one overhead gate."""
+    ratio = overhead.get(f"{gate}_ratio")
+    if ratio is None:
+        return "<td>—</td><td>—</td><td></td>"
+    bound = overhead.get(f"{gate}_bound")
+    gated = ratio if bound is None else bound
+    chip = ("<span class='chip good'>OK</span>"
+            if gated <= 1.0 + overhead.get("budget", 0.0)
+            else "<span class='chip bad'>over</span>")
+    shown = "—" if bound is None else f"{(bound - 1.0) * 100:+.1f}%"
+    return (f"<td>{(ratio - 1.0) * 100:+.1f}%</td><td>{shown}</td>"
+            f"<td>{chip}</td>")
+
+
 def _section_observability(bench_docs: Sequence[Tuple[str, Dict]],
                            campaigns: Sequence[Tuple[str, List[Dict]]]
                            ) -> str:
     """Observability health: overhead gates and ring-drop counters.
 
-    Per BENCH file, the disabled-tracing and flight-recorder wall-clock
-    ratios against their budgets; per chaos trial that captured a crash
-    report, the recorder's ring counters (recorded / kept / aged out) —
-    the bounded buffers' ``dropped`` counters made visible instead of
-    silently overwriting.
+    Per BENCH file, the disabled-telemetry and flight-recorder gates:
+    the median paired CPU-time ratio, its lower bound where the file
+    has one, and the verdict against the budget; per chaos trial that
+    captured a crash report, the recorder's ring counters (recorded /
+    kept / aged out) — the bounded buffers' ``dropped`` counters made
+    visible instead of silently overwriting.
     """
     parts = []
     rows = []
     for file_name, doc in bench_docs:
         overhead = doc.get("overhead")
-        if not isinstance(overhead, dict):
-            continue
-
-        def _ratio_cell(ratio, budget):
-            if ratio is None:
-                return "<td>—</td><td></td>"
-            chip = ("<span class='chip good'>OK</span>"
-                    if ratio <= 1.0 + (budget or 0)
-                    else "<span class='chip bad'>over</span>")
-            return f"<td>{(ratio - 1.0) * 100:+.1f}%</td><td>{chip}</td>"
-
-        rows.append(
-            f"<tr><td class='mono'>{_esc(file_name)}</td>"
-            + _ratio_cell(overhead.get("disabled_ratio"),
-                          overhead.get("budget"))
-            + _ratio_cell(overhead.get("recorder_ratio"),
-                          overhead.get("recorder_budget"))
-            + "</tr>")
+        if isinstance(overhead, dict):
+            rows.append(f"<tr><td class='mono'>{_esc(file_name)}</td>"
+                        + _gate_cells(overhead, "disabled")
+                        + _gate_cells(overhead, "recorder") + "</tr>")
     if rows:
         parts.append(
-            "<p class='sub'>wall-clock cost of the probe layer: "
-            "disabled tracing and the always-on flight recorder, each "
-            "gated at its budget</p>"
-            "<table><tr><th>BENCH file</th><th>disabled</th><th></th>"
-            "<th>recorder</th><th></th></tr>" + "".join(rows)
-            + "</table>")
+            "<p class='sub'>host cost of the probe layer over a bare "
+            "run: disabled telemetry and the always-on flight recorder. "
+            "A gate fails when the lower bound on its median paired "
+            "ratio exceeds the budget (files without a bound were gated "
+            "on the ratio)</p>"
+            "<table><tr><th>BENCH file</th><th>disabled</th><th>bound</th>"
+            "<th></th><th>recorder</th><th>bound</th><th></th></tr>"
+            + "".join(rows) + "</table>")
 
     drop_rows = []
     for name, ledger_rows in campaigns:
@@ -456,13 +282,13 @@ def _section_campaigns(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
 
 def render_dashboard(bench_docs: Sequence[Tuple[str, Dict]],
                      campaigns: Sequence[Tuple[str, List[Dict]]] = (),
-                     title: str = "Firefly regression observatory"
+                     title: str = "Firefly observatory"
                      ) -> str:
     """The full dashboard HTML.
 
-    ``bench_docs`` are ``(file name, loaded BENCH document)`` in
-    trajectory order; ``campaigns`` are ``(campaign name, ledger
-    rows)``.  Output is deterministic for identical inputs.
+    ``bench_docs`` are ``(file name, loaded BENCH document)`` in file
+    order; ``campaigns`` are ``(campaign name, ledger rows)``.  Output
+    is deterministic for identical inputs.
     """
     bench_docs = list(bench_docs)
     campaigns = list(campaigns)
@@ -472,21 +298,10 @@ def render_dashboard(bench_docs: Sequence[Tuple[str, Dict]],
                    and doc["provenance"].get("git_sha")})
     provenance = (f"revisions {', '.join(shas)}" if shas
                   else "no provenance stamps (pre-PR-6 BENCH files)")
-    # --series-dark swap: cards set both custom properties; dark mode
-    # re-points --series at the dark step.
-    dark_swap = ("@media (prefers-color-scheme: dark) {"
-                 " :root:where(:not([data-theme=\"light\"]))"
-                 " .ffly .card { --series: var(--series-dark); } }\n"
-                 ":root[data-theme=\"dark\"] .ffly .card"
-                 " { --series: var(--series-dark); }")
     sections = [
         f"<h1>{_esc(title)}</h1>",
         f"<p class='sub'>{len(bench_docs)} BENCH file(s), "
         f"{len(campaigns)} campaign ledger(s) · {_esc(provenance)}</p>",
-        "<h2>Performance trajectory (median ticks/s per scenario)</h2>",
-        _section_trajectory(bench_docs),
-        "<h2>Regression verdicts (noise-aware)</h2>",
-        _section_verdicts(bench_docs),
         "<h2>Analytic-model divergence</h2>",
         _section_residuals(bench_docs, campaigns),
         "<h2>Chaos recovery ledger</h2>",
@@ -501,7 +316,7 @@ def render_dashboard(bench_docs: Sequence[Tuple[str, Dict]],
             "<meta name='viewport' "
             "content='width=device-width, initial-scale=1'>\n"
             f"<title>{_esc(title)}</title>\n"
-            f"<style>{_CSS}{dark_swap}</style>\n"
+            f"<style>{_CSS}</style>\n"
             "</head>\n<body class='ffly'>\n"
             + "\n".join(sections)
             + "\n</body>\n</html>\n")

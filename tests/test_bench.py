@@ -1,18 +1,19 @@
-"""The continuous benchmark harness and its regression detector.
+"""The pinned benchmark suite, its BENCH files and its overhead gates.
 
-The detector's contract on synthetic BENCH trajectories: a clean
-improvement and a clean regression are both called out, while a noisy
-host whose trials scatter more than the movement stays "flat" — the
-noise-aware margin prevents a jittery machine from crying wolf.  The
-CLI end of the contract: ``bench --compare`` exits nonzero against a
-doctored (2x faster) previous file, i.e. an injected >= 20% synthetic
-regression is fatal.
+The suite's contract: schema-valid BENCH documents at the next free
+index, a pinned scenario registry, and simulated metrics from real
+runs.  The overhead gates' contract, checked on injected timings: one
+warmup run is discarded, pairs alternate which configuration runs
+first, the bound is the 4th-smallest of 16 paired ratios, a
+configuration 10% slower fails while one 1% slower passes, and a
+failing gate names itself and fails ``firefly-sim bench``.  The slow
+mutation test proves the gates fail on real timings when every probe
+is forced live.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import itertools
 
 import pytest
 
@@ -20,8 +21,8 @@ from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.observatory import (
     BENCH_SCHEMA,
+    bench,
     bench_files,
-    compare_bench,
     next_bench_path,
     run_suite,
     scenario_names,
@@ -29,11 +30,13 @@ from repro.observatory import (
     write_bench,
 )
 from repro.observatory.bench import SCENARIOS
+from repro.system.scenario import Horizon
+from repro.telemetry.probe import TelemetryHub
 
 pytestmark = pytest.mark.observatory
 
 
-def synthetic_bench(rates, noise=0.0, mode="full"):
+def synthetic_bench(rates):
     """A schema-valid BENCH document from {scenario: ticks/sec}."""
     scenarios = {}
     for name, rate in rates.items():
@@ -43,71 +46,12 @@ def synthetic_bench(rates, noise=0.0, mode="full"):
                         "wall_seconds": 100_000 / rate,
                         "ticks_per_second": rate}],
             "median_ticks_per_second": rate,
-            "noise": noise,
+            "noise": 0.0,
             "metrics": {"bus_load": 0.5},
         }
-    return {"schema": BENCH_SCHEMA, "mode": mode,
+    return {"schema": BENCH_SCHEMA, "mode": "full",
             "host": {"platform": "test", "python": "3", "machine": "x"},
             "scenarios": scenarios, "overhead": None}
-
-
-# -- regression detector on synthetic trajectories ----------------------
-
-
-class TestCompareBench:
-    def test_clean_regression_detected(self):
-        prev = synthetic_bench({"a": 100_000.0})
-        cur = synthetic_bench({"a": 70_000.0})  # -30% > 20% threshold
-        report = compare_bench(prev, cur)
-        assert not report.ok
-        assert [d.status for d in report.deltas] == ["regression"]
-
-    def test_clean_improvement_detected(self):
-        prev = synthetic_bench({"a": 100_000.0})
-        cur = synthetic_bench({"a": 150_000.0})
-        report = compare_bench(prev, cur)
-        assert report.ok
-        assert [d.status for d in report.deltas] == ["improvement"]
-
-    def test_small_movement_is_flat(self):
-        prev = synthetic_bench({"a": 100_000.0})
-        cur = synthetic_bench({"a": 90_000.0})  # -10% < 20% threshold
-        report = compare_bench(prev, cur)
-        assert [d.status for d in report.deltas] == ["flat"]
-
-    def test_noisy_host_widens_the_margin(self):
-        # A 25% drop would regress at the default threshold, but the
-        # trials scattered by 30%, so the margin widens and it's flat.
-        prev = synthetic_bench({"a": 100_000.0}, noise=0.30)
-        cur = synthetic_bench({"a": 75_000.0})
-        report = compare_bench(prev, cur)
-        assert [d.status for d in report.deltas] == ["flat"]
-        assert report.deltas[0].margin == pytest.approx(0.30)
-        # Beyond even the noise margin it regresses again.
-        worse = synthetic_bench({"a": 60_000.0})
-        assert not compare_bench(prev, worse).ok
-
-    def test_threshold_is_configurable(self):
-        prev = synthetic_bench({"a": 100_000.0})
-        cur = synthetic_bench({"a": 90_000.0})
-        report = compare_bench(prev, cur, threshold=0.05)
-        assert [d.status for d in report.deltas] == ["regression"]
-        with pytest.raises(ConfigurationError):
-            compare_bench(prev, cur, threshold=0.0)
-
-    def test_disjoint_scenarios_are_skipped(self):
-        prev = synthetic_bench({"a": 100_000.0, "gone": 1.0})
-        cur = synthetic_bench({"a": 100_000.0, "new": 1.0})
-        report = compare_bench(prev, cur)
-        assert sorted(report.skipped) == ["gone", "new"]
-        assert report.ok
-
-    def test_mode_mismatch_is_flagged(self):
-        prev = synthetic_bench({"a": 1.0}, mode="full")
-        cur = synthetic_bench({"a": 1.0}, mode="quick")
-        report = compare_bench(prev, cur)
-        assert report.mode_mismatch
-        assert "not like-for-like" in report.render()
 
 
 # -- schema validation and file handling --------------------------------
@@ -175,39 +119,97 @@ class TestBenchRuns:
                 run_suite(trials=trials, scenarios=[SCENARIOS[0].name],
                           skip_overhead=True)
 
-    @pytest.mark.slow
-    def test_cli_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        base = ["bench", "--quick", "--trials", "1", "--scenario",
-                "exerciser-1cpu", "--skip-overhead", "--out-dir",
-                str(tmp_path)]
-        assert main(base) == 0
-        first = tmp_path / "BENCH_0001.json"
-        document = json.loads(first.read_text())
-        assert validate_bench(document) == []
-        # Doctor the baseline to look 2x faster: the fresh rerun below
-        # then measures an injected ~50% throughput regression.
-        for entry in document["scenarios"].values():
-            entry["median_ticks_per_second"] *= 2
-            for trial in entry["trials"]:
-                trial["ticks_per_second"] *= 2
-        first.write_text(json.dumps(document))
-        capsys.readouterr()
-        assert main(base + ["--compare"]) == 1
-        out = capsys.readouterr().out
-        assert "regression" in out
-        assert (tmp_path / "BENCH_0002.json").exists()
-
-    def test_cli_compare_without_previous_is_ok(self, tmp_path, capsys):
-        # table1-sweep quick with 1 trial is the cheapest real scenario
-        # combination that still exercises the full write path.
-        code = main(["bench", "--quick", "--trials", "1", "--scenario",
-                     "table1-sweep", "--skip-overhead", "--out-dir",
-                     str(tmp_path), "--compare"])
-        assert code == 0
-        assert "no previous BENCH" in capsys.readouterr().out
-
     def test_cli_rejects_unknown_scenario(self, tmp_path, capsys):
         code = main(["bench", "--scenario", "does-not-exist",
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "unknown bench scenario" in capsys.readouterr().err
+
+
+# -- overhead gates -----------------------------------------------------
+
+
+def inject_timings(monkeypatch, disabled, recorder=(1.0,)):
+    """Replace the gates' run functions with canned CPU times.
+
+    Bare runs take 1 s.  ``disabled`` and ``recorder`` are the measured
+    configurations' times in call order, warmup first; the last one
+    repeats.  Returns the log of calls, by configuration name.
+    """
+    calls = []
+
+    def fake(name, times):
+        times = itertools.chain(times, itertools.repeat(times[-1]))
+
+        def run():
+            calls.append(name)
+            return next(times)
+        return run
+
+    monkeypatch.setattr(bench, "_bare_run", fake("bare", [1.0]))
+    monkeypatch.setattr(bench, "_disabled_run", fake("disabled", disabled))
+    monkeypatch.setattr(bench, "_recorder_run", fake("recorder", recorder))
+    return calls
+
+
+class TestOverheadGates:
+    def test_warmup_run_is_discarded(self, monkeypatch):
+        calls = inject_timings(monkeypatch, disabled=[100.0, 1.01])
+        ratios = bench._paired_ratios(bench._disabled_run)
+        assert calls[0] == "disabled"
+        assert len(calls) == 1 + 2 * bench.OVERHEAD_PAIRS
+        assert ratios == pytest.approx([1.01] * 16)
+
+    def test_pairs_alternate_which_configuration_runs_first(
+            self, monkeypatch):
+        calls = inject_timings(monkeypatch, disabled=[1.0])
+        bench._paired_ratios(bench._disabled_run)
+        pairs = [tuple(calls[i:i + 2]) for i in range(1, len(calls), 2)]
+        assert pairs == [("bare", "disabled"), ("disabled", "bare")] * 8
+
+    def test_ten_percent_slower_fails_one_percent_passes(self, monkeypatch):
+        inject_timings(monkeypatch, disabled=[1.10], recorder=[1.01])
+        block = bench.measure_overhead()
+        assert block["disabled_bound"] == pytest.approx(1.10)
+        assert block["recorder_bound"] == pytest.approx(1.01)
+        assert [passed for passed, _ in bench.overhead_verdicts(block)] \
+            == [False, True]
+        assert block["ok"] is False
+
+    def test_bound_is_fourth_smallest_of_sixteen_ratios(self, monkeypatch):
+        order = (9, 3, 14, 0, 7, 12, 5, 1, 15, 10, 2, 8, 13, 6, 11, 4)
+        times = [100.0] + [1.0 + k / 100 for k in order]
+        inject_timings(monkeypatch, disabled=times, recorder=times)
+        block = bench.measure_overhead()
+        assert block["pairs"] == 16
+        assert block["budget"] == 0.02
+        for gate in ("disabled", "recorder"):
+            assert block[f"{gate}_bound"] == pytest.approx(1.03)
+            assert block[f"{gate}_ratio"] == pytest.approx(1.075)
+        assert validate_bench(dict(synthetic_bench({"a": 1.0}),
+                                   overhead=block)) == []
+
+    def test_failing_gate_fails_bench(self, tmp_path, monkeypatch, capsys):
+        inject_timings(monkeypatch, disabled=[1.01], recorder=[1.10])
+        code = main(["bench", "--quick", "--trials", "1", "--scenario",
+                     "core-microbench", "--out-dir", str(tmp_path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "disabled overhead gate: median ratio 1.010, bound 1.010 " \
+               "over 16 pairs (budget 2%)" in out
+        assert "error: recorder overhead gate: median ratio 1.100, " \
+               "bound 1.100 over 16 pairs (budget 2%) exceeds its " \
+               "budget" in err
+        assert (tmp_path / "BENCH_0001.json").exists()
+
+    @pytest.mark.slow
+    def test_live_probes_fail_both_gates(self, monkeypatch):
+        # The mutant: every probe live, as if the disabled path and the
+        # recorder's category filter both leaked work onto the hot path.
+        monkeypatch.setattr(TelemetryHub, "probe_active",
+                            lambda self, category: True)
+        monkeypatch.setattr(bench, "OVERHEAD_HORIZON", Horizon(2_000, 10_000))
+        block = bench.measure_overhead()
+        assert [passed for passed, _ in bench.overhead_verdicts(block)] \
+            == [False, False], block
+        assert block["ok"] is False

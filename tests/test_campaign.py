@@ -1,4 +1,4 @@
-"""The campaign manager (repro.campaign) and regression dashboard.
+"""The campaign manager (repro.campaign) and observatory dashboard.
 
 The load-bearing claims:
 
@@ -9,8 +9,9 @@ The load-bearing claims:
   the ledger holds, and the merged report is **byte-identical** to an
   uninterrupted run at any job count;
 - golden digests turn silent result drift into a named failure;
-- the HTML dashboard renders the BENCH trajectory with noise-aware
-  regression verdicts from stdlib templating alone.
+- the HTML dashboard renders the committed BENCH files' residuals
+  (each cell under its own file) and overhead gates, and no host-speed
+  verdict, from stdlib templating alone.
 """
 
 from __future__ import annotations
@@ -118,6 +119,15 @@ class TestProvenance:
         document["provenance"] = "not-an-object"
         assert any("provenance" in problem
                    for problem in validate_bench(document))
+
+    def test_provenance_hashes_the_trial_count_run(self):
+        from repro.observatory.bench import run_suite
+
+        hashes = {run_suite(quick=True, trials=trials,
+                            scenarios=["core-microbench"],
+                            skip_overhead=True)["provenance"]["config_hash"]
+                  for trials in (None, 2)}
+        assert len(hashes) == 1
 
     @pytest.mark.slow
     def test_run_suite_stamps_provenance(self):
@@ -473,45 +483,65 @@ class TestWorker:
 # the dashboard
 
 
-def bench_doc(median, noise=0.05, mode="quick", residual=None,
-              scenario="exerciser-1cpu"):
-    entry = {
-        "description": "d",
-        "trials": [{"seed": 1987, "cycles": 1000, "wall_seconds": 0.1,
-                    "ticks_per_second": median}],
-        "median_ticks_per_second": median,
-        "noise": noise,
-        "metrics": {"bus_load": 0.5},
-    }
-    document = {"schema": "firefly-bench/1", "mode": mode,
-                "scenarios": {scenario: entry}, "overhead": None}
-    if residual is not None:
-        document["scenarios"]["table1-sweep"] = {
-            "description": "d", "trials": entry["trials"],
-            "median_ticks_per_second": median, "noise": noise,
-            "metrics": {"np2.bus_load": 0.4,
-                        "np2.load_residual": residual},
-        }
+def bench_doc(residuals=None, overhead=None, ticks_per_second=10_000.0):
+    """A schema-valid BENCH document; ``residuals`` maps processor
+    counts to the table1-sweep scenario's load residuals."""
+    trials = [{"seed": 1987, "cycles": 1000, "wall_seconds": 0.1,
+               "ticks_per_second": ticks_per_second}]
+    entry = {"description": "d", "trials": trials,
+             "median_ticks_per_second": ticks_per_second, "noise": 0.0,
+             "metrics": {"bus_load": 0.5}}
+    document = {"schema": "firefly-bench/1", "mode": "quick",
+                "scenarios": {"exerciser-1cpu": entry},
+                "overhead": overhead}
+    if residuals:
+        document["scenarios"]["table1-sweep"] = dict(entry, metrics={
+            f"np{processors}.load_residual": value
+            for processors, value in residuals.items()})
     return document
 
 
 class TestDashboard:
-    def test_trajectory_and_verdicts(self):
-        html = render_dashboard([
-            ("BENCH_0001.json", bench_doc(100_000.0)),
-            ("BENCH_0002.json", bench_doc(50_000.0)),
-        ])
-        assert "<svg" in html and "polyline" in html
-        assert "exerciser-1cpu" in html
-        assert "regression" in html        # 2x slowdown > margin
-
     def test_improvement_and_residuals(self):
+        # Throughput doubles between the files: the dashboard passes no
+        # verdict on host speed, only on the simulated residuals.
         html = render_dashboard([
-            ("BENCH_0001.json", bench_doc(50_000.0, residual=0.02)),
-            ("BENCH_0002.json", bench_doc(100_000.0, residual=0.04)),
+            ("BENCH_0001.json", bench_doc({2: 0.02}, ticks_per_second=5e4)),
+            ("BENCH_0002.json", bench_doc({2: 0.04}, ticks_per_second=1e5)),
         ])
-        assert "improvement" in html
-        assert "+0.0400" in html
+        assert "improvement" not in html and "regression" not in html
+        assert "<svg" not in html
+        assert "<tr><th></th><th>0001</th><th>0002</th></tr>" in html
+        assert "<tr><td>2 CPU(s)</td><td>+0.0200</td><td>+0.0400</td>" \
+               "</tr>" in html
+
+    def test_residual_cells_keyed_by_file(self):
+        # A quick file carries np2/np4 only; the full one adds np6, and
+        # its np6 residual must sit under its own column.
+        html = render_dashboard([
+            ("BENCH_0001.json", bench_doc({2: 0.01, 4: 0.02})),
+            ("BENCH_0002.json", bench_doc({2: 0.03, 4: 0.04, 6: 0.206})),
+        ])
+        assert "<tr><td>2 CPU(s)</td><td>+0.0100</td><td>+0.0300</td>" \
+               "</tr>" in html
+        assert "<tr><td>6 CPU(s)</td><td>—</td><td>+0.2060</td></tr>" \
+            in html
+
+    def test_overhead_rows_show_bound_where_present(self):
+        legacy = {"disabled_ratio": 0.79, "budget": 0.02, "ok": True}
+        paired = {"disabled_ratio": 0.99, "disabled_bound": 0.97,
+                  "recorder_ratio": 1.05, "recorder_bound": 1.03,
+                  "budget": 0.02, "pairs": 16, "ok": False}
+        html = render_dashboard([
+            ("BENCH_0001.json", bench_doc(overhead=legacy)),
+            ("BENCH_0002.json", bench_doc(overhead=paired)),
+        ])
+        ok = "<span class='chip good'>OK</span>"
+        over = "<span class='chip bad'>over</span>"
+        assert (f"<td>-21.0%</td><td>—</td><td>{ok}</td>"
+                "<td>—</td><td>—</td><td></td>") in html
+        assert (f"<td>-1.0%</td><td>-3.0%</td><td>{ok}</td>"
+                f"<td>+5.0%</td><td>+3.0%</td><td>{over}</td>") in html
 
     def test_chaos_ledger_rows(self):
         rows = [{"kind": "chaos", "label": "chaos/bus-parity/quick/s1",
@@ -533,7 +563,7 @@ class TestDashboard:
         assert "<script>alert(1)" not in html
 
     def test_deterministic_output(self):
-        docs = [("BENCH_0001.json", bench_doc(10_000.0))]
+        docs = [("BENCH_0001.json", bench_doc({2: 0.01}))]
         assert render_dashboard(docs) == render_dashboard(docs)
 
     def test_renders_committed_trajectory(self):
@@ -541,11 +571,15 @@ class TestDashboard:
 
         docs = [(path.name, load_bench(path))
                 for path in bench_files(REPO_ROOT)]
-        assert len(docs) >= 2
+        assert len(docs) >= 3
         html = render_dashboard(docs)
-        for scenario in ("exerciser-1cpu", "exerciser-5cpu",
-                         "table1-sweep", "protocol-comparison"):
-            assert scenario in html
+        for processors in (2, 4, 6):
+            assert f"<td>{processors} CPU(s)</td>" in html
+        # Every committed file's overhead block has a row; they predate
+        # the paired gates, so none shows a bound.
+        for name, _ in docs:
+            assert f"<tr><td class='mono'>{name}</td>" in html
+        assert "<td>+3.2%</td><td>—</td>" in html  # BENCH_0001 disabled
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +632,7 @@ class TestCli:
                             "--bench-dir", str(REPO_ROOT),
                             "--out", str(out_html)) == 0
         html = out_html.read_text()
-        assert "cli-camp" in html and "exerciser-5cpu" in html
+        assert "cli-camp" in html and "BENCH_0003.json" in html
 
         # overwrite guard: refuse, then --force succeeds
         assert self.run_cli("campaign", "report",

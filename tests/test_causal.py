@@ -455,28 +455,29 @@ class TestChromeCausalExport:
 
 
 # ---------------------------------------------------------------------------
-# bench gate plumbing (the wall-clock ratios themselves are measured by
-# `firefly-sim bench`, not asserted here — CI hosts are too noisy)
+# bench gate plumbing on injected timings (test_bench.py's slow mutation
+# test is the one that times real runs)
 
 
 class TestOverheadGate:
     def test_recorder_gate_composes_into_ok(self, monkeypatch):
         from repro.observatory import bench
 
-        monkeypatch.setattr(bench, "_overhead_run",
-                            lambda attach, horizon, seed: 1.005
-                            if attach else 1.0)
-        monkeypatch.setattr(bench, "_recorder_run",
-                            lambda horizon, seed: 1.01)
-        result = bench.measure_overhead(quick=True)
+        def inject(recorder_seconds):
+            monkeypatch.setattr(bench, "_bare_run", lambda: 1.0)
+            monkeypatch.setattr(bench, "_disabled_run", lambda: 1.005)
+            monkeypatch.setattr(bench, "_recorder_run",
+                                lambda: recorder_seconds)
+            return bench.measure_overhead()
+
+        result = inject(1.01)
         assert result["recorder_ratio"] == pytest.approx(1.01)
-        assert result["recorder_ok"] is True
+        assert result["recorder_bound"] == pytest.approx(1.01)
         assert result["ok"] is True
 
-        monkeypatch.setattr(bench, "_recorder_run",
-                            lambda horizon, seed: 1.10)
-        result = bench.measure_overhead(quick=True)
-        assert result["recorder_ok"] is False
+        result = inject(1.10)
+        assert result["disabled_bound"] == pytest.approx(1.005)
+        assert result["recorder_bound"] == pytest.approx(1.10)
         assert result["ok"] is False  # recorder breach fails the gate
 
     def test_chaos_outcome_carries_crash_key(self):
