@@ -33,7 +33,9 @@ echo "== benchmark self-tests (fireflybench) =="
 python -m pytest -q fireflybench
 
 echo "== static verification (firefly-sim verify) =="
-python -m repro.cli verify --all-protocols
+# With DMA stimuli: a protocol that leaks a state through the I/O
+# cache's DMA path is only caught with them (docs/VERIFY.md).
+python -m repro.cli verify --all-protocols --dma
 
 echo "== bench smoke + overhead gates (firefly-sim bench --jobs 2) =="
 # Quick suite with two parallel workers into a scratch dir: proves the

@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.bus.mbus import MBus
-from repro.cache.cache import CacheGeometry, SnoopyCache
 from repro.cache.line import LineState
 from repro.cache.protocols import PROTOCOL_FACTS, protocol_by_name
 from repro.common.errors import ConfigurationError
-from repro.common.events import Simulator
-from repro.common.types import AccessKind, BusOp, MemRef
-from repro.memory.main_memory import MainMemory, MemoryModule
+from repro.protodsl.oracle import LineRig
 
 #: States each protocol's lines can occupy (besides INVALID), and the
 #: state a *peer* cache naturally holds when it shares the line.
@@ -75,125 +71,6 @@ class Transition:
                 f"{self.end.value}{ops}")
 
 
-class _Rig:
-    """A minimal two-cache machine for transition probing."""
-
-    ADDRESS = 64  # arbitrary line-aligned word
-
-    def __init__(self, protocol_name: str, protocol=None) -> None:
-        self.sim = Simulator()
-        memory = MainMemory([MemoryModule(0, 1 << 20, is_master=True)])
-        self.memory = memory
-        self.mbus = MBus(self.sim, memory)
-        self.protocol = (protocol if protocol is not None
-                         else protocol_by_name(protocol_name))
-        geometry = CacheGeometry(64, 1)
-        self.focal = SnoopyCache(self.mbus, self.protocol, 0, geometry)
-        self.peer = SnoopyCache(self.mbus, self.protocol, 1, geometry)
-
-    def inject(self, cache: SnoopyCache, state: LineState, value: int) -> None:
-        """Place the probe line directly into ``state``.
-
-        Injection (rather than replaying a reachability prefix) lets us
-        enumerate the *transition function* over its whole domain.  The
-        surrounding data is kept self-consistent: clean states match
-        memory, dirty states deliberately differ from it.
-        """
-        line, _, tag, _ = cache.lookup(self.ADDRESS)
-        line.fill(tag, (value,), state)
-
-    def run(self, gen) -> None:
-        self.sim.process(gen, "stimulus")
-        self.sim.run()
-
-    def ops_snapshot(self) -> Dict[str, int]:
-        return {key: counter.total for key, counter in self.mbus.stats.items()
-                if key.startswith("op.") or key == "write.victim"}
-
-    def ops_delta(self, before: Dict[str, int]) -> Tuple[str, ...]:
-        after = self.ops_snapshot()
-        labels: List[str] = []
-        for key in sorted(set(before) | set(after)):
-            count = after.get(key, 0) - before.get(key, 0)
-            if key == "write.victim" or count <= 0:
-                continue
-            name = key[len("op."):]
-            labels.extend([name] * count)
-        victims = (after.get("write.victim", 0)
-                   - before.get("write.victim", 0))
-        for _ in range(victims):
-            # One of the MWrites was a victim write; relabel it.
-            labels.remove("MWrite")
-            labels.append("MWrite(victim)")
-        return tuple(sorted(labels))
-
-
-def _probe(protocol_name: str, start: LineState, stimulus: str,
-           peer_holds: bool, protocol=None) -> Optional[Transition]:
-    """Apply one stimulus in a fresh rig; None if it does not apply."""
-    rig = _Rig(protocol_name, protocol=protocol)
-    address = rig.ADDRESS
-    clean_value = 111
-    rig.memory.poke(address, clean_value)
-
-    if start is not LineState.INVALID:
-        value = clean_value if not start.is_dirty else 222
-        rig.inject(rig.focal, start, value)
-        if start.is_dirty:
-            # Memory is stale relative to the dirty copy.
-            rig.memory.poke(address, clean_value)
-    if peer_holds:
-        peer_state = PEER_COSTATE[protocol_name]
-        peer_value = rig.focal.peek(address)
-        if peer_value is None:
-            peer_value = clean_value
-        rig.inject(rig.peer, peer_state, peer_value)
-
-    before = rig.ops_snapshot()
-
-    if stimulus == "P-read":
-        if start is LineState.INVALID:
-            def gen():
-                yield from rig.focal.cpu_read(
-                    MemRef(address, AccessKind.DATA_READ))
-        else:
-            def gen():
-                yield from rig.focal.cpu_read(
-                    MemRef(address, AccessKind.DATA_READ))
-        rig.run(gen())
-    elif stimulus == "P-write":
-        def gen():
-            yield from rig.focal.cpu_write(
-                MemRef(address, AccessKind.DATA_WRITE), 333)
-        rig.run(gen())
-    elif stimulus == "M-read":
-        if start is LineState.INVALID:
-            return None  # an M stimulus needs a resident line to probe
-        def gen():
-            yield from rig.mbus.transaction(
-                1, BusOp.MREAD, address, initiator=1)
-        rig.run(gen())
-    elif stimulus == "M-write":
-        if start is LineState.INVALID:
-            return None
-        def gen():
-            yield from rig.mbus.transaction(
-                1, BusOp.MWRITE, address, initiator=1, data=(444,))
-        rig.run(gen())
-    else:
-        raise ConfigurationError(f"unknown stimulus {stimulus!r}")
-
-    return Transition(
-        start=start,
-        stimulus=stimulus if start is not LineState.INVALID
-        else stimulus + "-miss",
-        peer_holds=peer_holds,
-        end=rig.focal.state_of(address),
-        bus_ops=rig.ops_delta(before),
-        peer_end=rig.peer.state_of(address) if peer_holds else None,
-    )
-
-
 def enumerate_transitions(protocol_name: str,
                           protocol=None) -> List[Transition]:
     """Every (state, stimulus, peer-presence) arc of a protocol's FSM.
@@ -204,28 +81,18 @@ def enumerate_transitions(protocol_name: str,
     (the static verifier passes deliberately mutated protocols through
     here); the name still selects the state vocabulary.
     """
-    if protocol_name not in PROTOCOL_STATES:
-        raise ConfigurationError(f"unknown protocol {protocol_name!r}")
-    states = (LineState.INVALID,) + PROTOCOL_STATES[protocol_name]
     transitions: List[Transition] = []
     seen = set()
-    for start in states:
-        for stimulus in ("P-read", "P-write", "M-read", "M-write"):
-            for peer_holds in (False, True):
-                if stimulus.startswith("M-") and peer_holds:
-                    continue  # the peer IS the M-side initiator
-                result = _probe(protocol_name, start, stimulus, peer_holds,
-                                protocol=protocol)
-                if result is None:
-                    continue
-                if not result.bus_ops and peer_holds:
-                    continue  # peer unobservable without a bus op
-                key = (result.start, result.stimulus, result.peer_holds,
-                       result.end, result.bus_ops)
-                if key in seen:
-                    continue
-                seen.add(key)
-                transitions.append(result)
+    for result in full_transition_table(protocol_name,
+                                        protocol=protocol).values():
+        if not result.bus_ops and result.peer_holds:
+            continue  # peer unobservable without a bus op
+        key = (result.start, result.stimulus, result.peer_holds,
+               result.end, result.bus_ops)
+        if key in seen:
+            continue
+        seen.add(key)
+        transitions.append(result)
     return transitions
 
 
@@ -241,22 +108,42 @@ def full_transition_table(
     M-side stimuli only apply to resident lines, and always with the
     peer as initiator, so their domain is (valid state, stimulus,
     False).
+
+    Each cell is measured on one two-cache
+    :class:`~repro.protodsl.oracle.LineRig` (cache 0 focal, cache 1
+    the peer): clean copies match memory, dirty ones differ from it,
+    and a present peer holds the protocol's co-state with the focal
+    copy's data (memory's when the focal line is absent).
     """
     if protocol_name not in PROTOCOL_STATES:
         raise ConfigurationError(f"unknown protocol {protocol_name!r}")
-    states = (LineState.INVALID,) + PROTOCOL_STATES[protocol_name]
+    rig = LineRig(protocol if protocol is not None
+                  else protocol_by_name(protocol_name), caches=2)
+    absent = (LineState.INVALID.value, None)
     table: Dict[Tuple[LineState, str, bool], Transition] = {}
-    for start in states:
+    for start in (LineState.INVALID,) + PROTOCOL_STATES[protocol_name]:
+        focal = absent if start is LineState.INVALID \
+            else (start.value, int(start.is_dirty))
         for stimulus in ("P-read", "P-write", "M-read", "M-write"):
             for peer_holds in (False, True):
-                if stimulus.startswith("M-") and peer_holds:
-                    continue
-                if stimulus.startswith("M-") and start is LineState.INVALID:
-                    continue
-                result = _probe(protocol_name, start, stimulus, peer_holds,
-                                protocol=protocol)
-                if result is not None:
-                    table[(start, stimulus, peer_holds)] = result
+                if stimulus.startswith("M-") and (
+                        peer_holds or start is LineState.INVALID):
+                    continue  # M-side: a resident line, the peer issues
+                peer = ((PEER_COSTATE[protocol_name].value, focal[1] or 0)
+                        if peer_holds else absent)
+                rig.materialise(((focal, peer), 0))
+                rig.apply(stimulus, 0 if stimulus.startswith("P-") else 1,
+                          version=2)
+                (end, _), (peer_end, _) = rig.observe()[0]
+                table[(start, stimulus, peer_holds)] = Transition(
+                    start=start,
+                    stimulus=(stimulus if start is not LineState.INVALID
+                              else stimulus + "-miss"),
+                    peer_holds=peer_holds,
+                    end=LineState(end),
+                    bus_ops=rig.bus_ops(),
+                    peer_end=LineState(peer_end) if peer_holds else None,
+                )
     return table
 
 

@@ -23,11 +23,7 @@ from repro.cache.protocols.base import CoherenceProtocol
 from repro.cache.protocols.bedrock import BedrockProtocol
 from repro.cache.protocols.berkeley import BerkeleyProtocol
 from repro.cache.protocols.dragon import DragonProtocol
-from repro.cache.protocols.dsl import (
-    DSLProtocol,
-    ProtocolDefinitionError,
-    definition_of,
-)
+from repro.cache.protocols.dsl import DSLProtocol, ProtocolDefinitionError
 from repro.cache.protocols.firefly import FireflyProtocol
 from repro.cache.protocols.mesi import MesiProtocol
 from repro.cache.protocols.moesi import MoesiProtocol
@@ -98,6 +94,5 @@ __all__ = [
     "WriteOnceProtocol",
     "WriteThroughInvalidateProtocol",
     "available_protocols",
-    "definition_of",
     "protocol_by_name",
 ]

@@ -12,12 +12,15 @@ imported), then wires the generated artefacts onto the class:
 - dispatch indexes (state → write-hit action, (bus op, state) → snoop
   rule) the generator handlers below interpret.
 
-The handlers reproduce the legacy hand-written protocols action for
-action — same bus operations, same statistics counters, same
-grant-time payload merging — which the oracle-equivalence and fastpath
-tests pin for every registered protocol.  Subclasses *without* their
-own ``definition`` (the verifier's deliberately-broken mutants) inherit
-the parent's compiled tables and may override individual handlers.
+The handlers are a protocol's only operational semantics: the Figure 3
+table and the model checker run them too, on the live single-line rig
+of :mod:`repro.protodsl.oracle`.  They reproduce the legacy
+hand-written protocols action for action — same bus operations, same
+statistics counters, same grant-time payload merging — which the
+table-equivalence, lockstep-fuzz and fastpath tests pin.  Subclasses
+*without* their own ``definition`` (the verifier's deliberately-broken
+mutants) inherit the parent's compiled tables and may override
+individual handlers.
 
 This module lives inside the protocols package (rather than in
 :mod:`repro.protodsl`) so the import graph stays acyclic from every
@@ -256,38 +259,3 @@ class DSLProtocol(CoherenceProtocol):  # lint: allow(V105)
         return (facts.dma_shared_state if shared_response
                 else facts.dma_exclusive_state)
 
-
-#: Handler names a "pure DSL" protocol must inherit untouched for the
-#: definition alone to predict its behaviour.
-_HANDLER_NAMES = ("read_hit", "read_miss", "write_hit", "write_miss",
-                  "snoop", "resident_after_dma_write", "victimize",
-                  "fill_from_read")
-
-
-def definition_of(protocol) -> ProtocolDef:
-    """The definition governing ``protocol`` — or raise.
-
-    Raises :class:`~repro.common.errors.ConfigurationError` when the
-    protocol is not DSL-derived, or when some class below
-    :class:`DSLProtocol` overrides a handler (the definition would
-    then mispredict the runtime behaviour — the verifier's mutants do
-    exactly this, and the pure-oracle path must refuse them).
-    """
-    cls = protocol if isinstance(protocol, type) else type(protocol)
-    if not issubclass(cls, DSLProtocol):
-        raise ConfigurationError(
-            f"{cls.__name__} is not DSL-derived; no definition exists")
-    defn = cls.definition
-    if defn is None:
-        raise ConfigurationError(
-            f"{cls.__name__} declares no protocol definition")
-    for klass in cls.__mro__:
-        if klass is DSLProtocol:
-            break
-        for handler in _HANDLER_NAMES:
-            if handler in klass.__dict__:
-                raise ConfigurationError(
-                    f"{cls.__name__} overrides {handler}() below the "
-                    f"DSL interpreter; its definition does not govern "
-                    f"its behaviour")
-    return defn

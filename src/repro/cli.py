@@ -31,9 +31,8 @@ Subcommands:
     state space against the I1–I4 coherence invariants plus
     transition-table structural properties, and run the
     simulation-safety linter over the sources.  ``--json`` writes the
-    findings (stable ordering) for CI; ``--oracle dsl`` explores with
-    the pure generated oracle instead of the simulator.  Exits
-    non-zero on any violation; see docs/VERIFY.md.
+    findings (stable ordering) for CI.  Exits non-zero on any
+    violation; see docs/VERIFY.md.
 ``bench``
     Run the pinned benchmark suite and write ``BENCH_<n>.json``: the
     scenarios' simulated metrics at pinned seeds, and the two paired
@@ -101,7 +100,7 @@ Examples::
     firefly-sim fsm --protocol dragon
     firefly-sim verify --protocol firefly
     firefly-sim verify --all-protocols --dma
-    firefly-sim verify --all-protocols --oracle dsl --json findings.json
+    firefly-sim verify --all-protocols --json findings.json
     firefly-sim bench --quick
     firefly-sim bench --quick --jobs 4 --out-dir /tmp/bench
     firefly-sim chaos --quick
@@ -199,18 +198,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="caches in the modelled system (default 3)")
     verify.add_argument("--dma", action="store_true",
                         help="also model DMA stimuli through the I/O cache")
-    verify.add_argument("--no-lint", action="store_true",
-                        help="skip the simulation-safety linter")
-    verify.add_argument("--lint-only", action="store_true",
-                        help="run only the linter, no model checking")
+    lint_scope = verify.add_mutually_exclusive_group()
+    lint_scope.add_argument("--no-lint", action="store_true",
+                            help="skip the simulation-safety linter")
+    lint_scope.add_argument("--lint-only", action="store_true",
+                            help="run only the linter, no model checking")
     verify.add_argument("--lint-path", action="append", default=None,
                         metavar="PATH",
                         help="lint these files/dirs (default: the "
                              "installed repro package sources)")
-    verify.add_argument("--oracle", choices=("sim", "dsl"), default="sim",
-                        help="model-checker transition oracle: the live "
-                             "simulator rig ('sim', default) or the pure "
-                             "generated DSL oracle ('dsl', much faster)")
     verify.add_argument("--json", metavar="PATH", default=None,
                         help="write the findings document (guard/"
                              "structural/invariant findings, minimal "
@@ -599,14 +595,12 @@ def _cmd_verify(args) -> int:
                       f"finding(s); model checking skipped")
             else:
                 # Stage 2: exhaustive model check of the global state
-                # space (sim rig or pure DSL oracle).
+                # space on the live single-line rig.
                 report = verify_protocol(name, caches=args.caches,
-                                         include_dma=args.dma,
-                                         oracle=args.oracle)
+                                         include_dma=args.dma)
                 print(report.render())
                 entry["model"] = {
                     "ok": report.ok,
-                    "oracle": args.oracle,
                     "caches": report.caches,
                     "states_explored": report.states_explored,
                     "transitions_taken": report.transitions_taken,

@@ -4,15 +4,16 @@ One :class:`~repro.protodsl.defs.ProtocolDef` generates everything the
 rest of the system needs from a coherence protocol:
 
 - the runtime ``CoherenceProtocol`` subclass ``SnoopyCache`` drives
-  (:mod:`repro.protodsl.runtime`),
+  (:mod:`repro.protodsl.runtime`) — its handlers are the protocol's
+  only operational semantics — and
 - the :class:`~repro.protodsl.defs.ProtocolFacts` table the cache fast
-  paths and DMA hook gate on, and
-- the pure transition oracle the verifier's model checker explores
-  without spinning up a simulator (:mod:`repro.protodsl.oracle`);
+  paths and DMA hook gate on;
 
 with the static **guard checker** (:mod:`repro.protodsl.check`)
 proving exhaustiveness, disjointness, reachability and fact
 consistency over the finite guard space before any simulation runs.
+The transition oracle (:mod:`repro.protodsl.oracle`) runs those
+handlers on a live single-line rig for Figure 3 and the model checker.
 
 Import note: this package deliberately re-exports only the simulator-
 independent pieces (definitions and checker).  The runtime and oracle

@@ -1,8 +1,9 @@
 """The guard checker: static proofs over a protocol definition.
 
-Runs before any simulation — :func:`repro.protodsl.runtime.
-compile_protocol` refuses to build a runtime class from a definition
-with findings, and ``firefly-sim verify`` reports them per protocol.
+Runs before any simulation — ``DSLProtocol.__init_subclass__`` (the
+compiler driver, :mod:`repro.protodsl.runtime`) refuses to build a
+runtime class from a definition with findings, and ``firefly-sim
+verify`` reports them per protocol.
 Because every guard ranges over a small finite space (the declared
 state vocabulary, the four bus ops, one boolean of access shape), each
 property is proved by exhaustive enumeration, and every finding names

@@ -6,15 +6,14 @@ rules, one table per stimulus family.  Each rule pairs a *guard* (the
 set of line states it covers, plus — for write misses — a predicate
 over the access shape) with a single *action* drawn from a closed
 vocabulary.  The closed vocabulary is the point: because every action
-is a declarative value rather than imperative code, three artefacts
+is a declarative value rather than imperative code, two artefacts
 can be generated from one definition —
 
 - the runtime :class:`~repro.cache.protocols.base.CoherenceProtocol`
   subclass ``SnoopyCache`` drives (:mod:`repro.protodsl.runtime`),
+  whose handlers are the protocol's only operational semantics, and
 - the protocol facts the cache's fast paths and the DMA port gate on
-  (:class:`ProtocolFacts`), and
-- the pure transition oracle the static verifier explores without a
-  simulator (:mod:`repro.protodsl.oracle`),
+  (:class:`ProtocolFacts`),
 
 and a static **guard checker** (:mod:`repro.protodsl.check`) can prove
 exhaustiveness, disjointness, reachability and fact consistency over
@@ -289,7 +288,7 @@ class ProtocolDef:
             dma_exclusive_state=self.dma_exclusive_state,
         )
 
-    # -- small lookup helpers shared by runtime, oracle and checker ----
+    # -- small lookup helpers shared by runtime and checker ------------
 
     def write_hit_rule(self, state: LineState) -> Optional[WriteHitRule]:
         for rule in self.write_hit:

@@ -1,391 +1,151 @@
-"""Pure transition oracles generated from a protocol definition.
+"""The transition oracle: one line on the live cache/bus stack.
 
-Two oracles, both derived from a
-:class:`~repro.protodsl.defs.ProtocolDef` with **no simulator in the
-loop**:
+A protocol has exactly one operational semantics — the runtime
+handlers :class:`~repro.cache.protocols.dsl.DSLProtocol` compiles from
+its definition.  Everything that needs a protocol's transition
+function runs those handlers in a :class:`LineRig` rather than
+re-interpreting the definition:
 
-:func:`line_table`
-    The single-line transition function over the same (state, stimulus,
-    peer-presence) domain :func:`repro.cache.fsm.full_transition_table`
-    *measures* with a live two-cache rig.  The oracle-equivalence tests
-    diff the generated table against the measured one cell by cell for
-    every registered protocol — the declarative definition and the
-    running implementation are thereby proven to describe the same
-    machine (both are compiled from the definition, but the measured
-    side exercises the real cache/bus/arbitration stack).
+- :func:`repro.cache.fsm.full_transition_table` measures Figure 3 on a
+  two-cache rig, cell by cell;
+- :class:`repro.verify.model.ModelChecker` explores the N-cache global
+  state space on an N-cache rig, step by step.
 
-:func:`global_step`
-    One stimulus applied to the version-abstracted N-cache global state
-    the model checker explores.  ``ModelChecker(oracle="dsl")`` uses it
-    as the transition function instead of materialising a fresh rig per
-    step, which makes exhaustive exploration orders of magnitude
-    cheaper; the cross-validation tests assert the "sim" and "dsl"
-    oracles reach identical state sets.
+A rig is built once and re-materialised for every step: building a
+``Simulator`` (its event wheel) costs more than the step itself.
 
-The global step mirrors the MBus transaction semantics: the MShared
-response is the OR over the responding snoopers, suppliers inhibit
-memory, ``write_back`` snarfs the supplied line into memory in the
-same transaction, and the initiator never snoops its own operation.
+States are the model checker's version-abstracted
+:data:`GlobalState`: concrete words only matter up to equality, so
+each distinct word is a version number, renamed in first-appearance
+order (memory first, then cache 0..N-1) by :func:`abstract_state_of`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.fsm import Transition
+from repro.bus.mbus import MBus
+from repro.cache.cache import CacheGeometry, SnoopyCache
 from repro.cache.line import LineState
-from repro.common.errors import SimulationError
-from repro.common.types import BusOp
-from repro.protodsl.defs import (
-    AcquireThenWrite,
-    AsWriteMiss,
-    Goto,
-    Invalidate,
-    ProtocolDef,
-    ReadForOwnership,
-    ReadThenWrite,
-    SilentWrite,
-    TakeData,
-    WriteAllocate,
-    WriteNoAllocate,
-    WriteThrough,
-)
+from repro.common.errors import ConfigurationError
+from repro.common.events import Simulator
+from repro.common.types import AccessKind, BusOp, MemRef
+from repro.memory.main_memory import MainMemory, MemoryModule
 
-#: (state value, version | None) per cache, plus the memory version —
-#: structurally identical to repro.verify.model.GlobalState, kept
-#: duplicated here so the oracle stays importable without the verifier.
-CacheView = Tuple[str, Optional[int]]
-GlobalState = Tuple[Tuple[CacheView, ...], int]
+#: (state value, version) per cache — version None when INVALID — plus
+#: the memory version, e.g. ((("D", 1), ("I", None)), 0).
+GlobalState = Tuple[Tuple[Tuple[str, Optional[int]], ...], int]
+
+ADDRESS = 0         # the single line a rig tracks
+_VALUE_BASE = 1000  # version v is materialised as the word 1000 + v
 
 
-# =========================================================================
-# single-line table (the fsm.full_transition_table twin)
-# =========================================================================
+class LineRig:
+    """N snoopy caches on one MBus, tracking the line at :data:`ADDRESS`.
 
-def _snoop_outcome(defn: ProtocolDef, op: BusOp, state: LineState,
-                   written: Optional[object] = None):
-    """(end state, shared, supplies, write_back) for one snooped cell.
-
-    ``written`` is the payload version a TakeData effect would adopt
-    (only meaningful for MWRITE); the line-table path ignores it.
+    ``protocol`` is one instance shared by every cache (protocols are
+    stateless singletons; the verifier's mutants pass through here).
     """
-    rule = defn.snoop_rule(op, state)
-    if rule is None:
-        raise SimulationError(
-            f"{defn.name} has no snoop rule for {op.value} in "
-            f"{state.value} (the guard checker should have caught this)")
-    effect = rule.effect
-    if isinstance(effect, Goto):
-        end = effect.state
-    elif isinstance(effect, TakeData):
-        end = effect.state
-    elif isinstance(effect, Invalidate):
-        end = LineState.INVALID
-    else:  # Stay
-        end = state
-    return end, rule.shared, rule.supply, rule.write_back
 
+    def __init__(self, protocol, caches: int) -> None:
+        self.sim = Simulator()
+        self.memory = MainMemory([MemoryModule(0, 1 << 10, is_master=True)])
+        self.mbus = MBus(self.sim, self.memory)
+        geometry = CacheGeometry(1, 1)
+        self.caches = [SnoopyCache(self.mbus, protocol, i, geometry)
+                       for i in range(caches)]
+        self._ops_before = self._op_counts()
 
-def _peer_after(defn: ProtocolDef, op: BusOp,
-                peer_state: LineState) -> Tuple[LineState, bool]:
-    """(peer end state, MShared asserted) when the peer snoops ``op``."""
-    end, shared, _, _ = _snoop_outcome(defn, op, peer_state)
-    return end, shared
+    def materialise(self, state: GlobalState) -> None:
+        """Place the tracked line in every cache, and the memory word.
 
-
-def _pure_write_hit(defn: ProtocolDef, start: LineState,
-                    peer: LineState) -> Tuple[LineState, LineState,
-                                              List[str]]:
-    """(focal end, peer end, bus ops) for a write hit in ``start``."""
-    action = defn.write_hit_rule(start).action
-    if isinstance(action, SilentWrite):
-        end = action.next_state if action.next_state is not None else start
-        return end, peer, []
-    if isinstance(action, WriteThrough):
-        peer_end, shared = (_peer_after(defn, BusOp.MWRITE, peer)
-                            if peer is not LineState.INVALID
-                            else (peer, False))
-        end = action.shared_state if shared else action.exclusive_state
-        return end, peer_end, [BusOp.MWRITE.value]
-    if isinstance(action, AcquireThenWrite):
-        peer_end = peer
-        if peer is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MINVALIDATE, peer)
-        return action.next_state, peer_end, [BusOp.MINVALIDATE.value]
-    # AsWriteMiss: re-fetch through the write-miss table.  The probe
-    # geometry is one aligned longword, and the resident line is the
-    # probed one, so victimisation applies to ``start`` itself.
-    return _pure_write_miss(defn, start, peer)
-
-
-def _pure_write_miss(defn: ProtocolDef, resident: LineState,
-                     peer: LineState) -> Tuple[LineState, LineState,
-                                               List[str]]:
-    """(focal end, peer end, bus ops) for the aligned-longword
-    write-miss path, with ``resident`` the line being displaced
-    (INVALID when the slot is empty)."""
-    ops: List[str] = []
-    peer_end = peer
-    if resident is not LineState.INVALID and resident.is_dirty:
-        ops.append("MWrite(victim)")
-        if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
-    action = defn.write_miss_rule(True).action
-    if isinstance(action, ReadThenWrite):
-        filled, peer_end, read_ops = _pure_read_miss(defn, LineState.INVALID,
-                                                     peer_end)
-        hit_end, peer_end, hit_ops = _pure_write_hit(defn, filled, peer_end)
-        return hit_end, peer_end, ops + read_ops + hit_ops
-    if isinstance(action, ReadForOwnership):
-        if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MREAD_EX, peer_end)
-        return action.fill_state, peer_end, ops + [BusOp.MREAD_EX.value]
-    if isinstance(action, WriteAllocate):
-        shared = False
-        if peer_end is not LineState.INVALID:
-            peer_end, shared = _peer_after(defn, BusOp.MWRITE, peer_end)
-        end = action.shared_state if shared else action.exclusive_state
-        return end, peer_end, ops + [BusOp.MWRITE.value]
-    # WriteNoAllocate: the cache is left untouched.
-    if peer_end is not LineState.INVALID:
-        peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
-    return resident, peer_end, ops + [BusOp.MWRITE.value]
-
-
-def _pure_read_miss(defn: ProtocolDef, resident: LineState,
-                    peer: LineState) -> Tuple[LineState, LineState,
-                                              List[str]]:
-    ops: List[str] = []
-    peer_end = peer
-    if resident is not LineState.INVALID and resident.is_dirty:
-        ops.append("MWrite(victim)")
-        if peer_end is not LineState.INVALID:
-            peer_end, _ = _peer_after(defn, BusOp.MWRITE, peer_end)
-    shared = False
-    if peer_end is not LineState.INVALID:
-        peer_end, shared = _peer_after(defn, BusOp.MREAD, peer_end)
-    rule = defn.read_miss
-    end = rule.shared_state if shared else rule.exclusive_state
-    return end, peer_end, ops + [BusOp.MREAD.value]
-
-
-def line_table(defn: ProtocolDef
-               ) -> Dict[Tuple[LineState, str, bool], Transition]:
-    """The generated twin of :func:`repro.cache.fsm.full_transition_table`.
-
-    Same domain, same :class:`~repro.cache.fsm.Transition` records
-    (states, sorted bus-op labels, peer end states), derived from the
-    definition alone.
-    """
-    states = (LineState.INVALID,) + tuple(defn.states)
-    table: Dict[Tuple[LineState, str, bool], Transition] = {}
-    for start in states:
-        for stimulus in ("P-read", "P-write", "M-read", "M-write"):
-            for peer_holds in (False, True):
-                if stimulus.startswith("M-") and peer_holds:
-                    continue
-                if stimulus.startswith("M-") and start is LineState.INVALID:
-                    continue
-                peer = defn.peer_costate if peer_holds else LineState.INVALID
-                if stimulus == "P-read":
-                    if start is LineState.INVALID:
-                        end, peer_end, ops = _pure_read_miss(
-                            defn, start, peer)
-                    else:
-                        end, peer_end, ops = start, peer, []
-                elif stimulus == "P-write":
-                    if start is LineState.INVALID:
-                        end, peer_end, ops = _pure_write_miss(
-                            defn, start, peer)
-                    else:
-                        end, peer_end, ops = _pure_write_hit(
-                            defn, start, peer)
-                elif stimulus == "M-read":
-                    end, _, _, _ = _snoop_outcome(defn, BusOp.MREAD, start)
-                    peer_end, ops = peer, [BusOp.MREAD.value]
-                else:  # M-write
-                    end, _, _, _ = _snoop_outcome(defn, BusOp.MWRITE, start)
-                    peer_end, ops = peer, [BusOp.MWRITE.value]
-                table[(start, stimulus, peer_holds)] = Transition(
-                    start=start,
-                    stimulus=(stimulus if start is not LineState.INVALID
-                              else stimulus + "-miss"),
-                    peer_holds=peer_holds,
-                    end=end,
-                    bus_ops=tuple(sorted(ops)),
-                    peer_end=peer_end if peer_holds else None,
-                )
-    return table
-
-
-# =========================================================================
-# global N-cache step (the model checker's "dsl" oracle)
-# =========================================================================
-
-class _World:
-    """Mutable working copy of one abstract global state."""
-
-    def __init__(self, defn: ProtocolDef, state: GlobalState) -> None:
-        self.defn = defn
-        views, self.memory = state
-        self.states = [LineState(value) for value, _ in views]
-        self.versions: List[Optional[int]] = [v for _, v in views]
-
-    def freeze(self) -> GlobalState:
-        views = tuple(
-            (state.value, None if state is LineState.INVALID else version)
-            for state, version in zip(self.states, self.versions))
-        return views, self.memory
-
-    def resident(self, cache: int) -> bool:
-        return self.states[cache] is not LineState.INVALID
-
-    # -- one bus transaction ------------------------------------------
-
-    def transact(self, initiator: int, op: BusOp,
-                 written: Optional[int] = None,
-                 update_memory: bool = True) -> Tuple[bool, Optional[int]]:
-        """Snoop fan-out for one transaction; returns (shared, data).
-
-        ``written`` is the payload version for MWRITE.  ``data`` is
-        what a read returns: the supplied version if a cache drove the
-        bus (memory inhibited), otherwise the memory version.
+        Injection (rather than replaying a reachability prefix) is what
+        lets the table and the model checker reach every state of the
+        domain directly.
         """
-        defn = self.defn
-        shared = False
-        supplied: Optional[int] = None
-        snarf = False
-        for cache in range(len(self.states)):
-            if cache == initiator or not self.resident(cache):
-                continue
-            state = self.states[cache]
-            end, responds_shared, supplies, write_back = _snoop_outcome(
-                defn, op, state)
-            shared = shared or responds_shared
-            if supplies:
-                version = self.versions[cache]
-                if supplied is not None and supplied != version:
-                    raise SimulationError(
-                        f"{defn.name}: conflicting supplier data "
-                        f"(versions {supplied} and {version}) on "
-                        f"{op.value}")
-                supplied = version
-                snarf = snarf or write_back
-            self.states[cache] = end
-            if end is LineState.INVALID:
-                self.versions[cache] = None
-            elif isinstance(defn.snoop_rule(op, state).effect, TakeData):
-                self.versions[cache] = written
-        if op is BusOp.MWRITE:
-            if update_memory:
-                self.memory = written
-            return shared, None
-        data = supplied if supplied is not None else self.memory
-        if snarf:
-            self.memory = data
-        return shared, data
+        views, memory_version = state
+        self.memory.poke(ADDRESS, _VALUE_BASE + memory_version)
+        for cache, (value, version) in zip(self.caches, views):
+            line, _, tag, _ = cache.lookup(ADDRESS)
+            if version is None:
+                line.invalidate()
+            else:
+                line.fill(tag, (_VALUE_BASE + version,), LineState(value))
+        self._ops_before = self._op_counts()
 
-    # -- processor-side compositions -----------------------------------
+    def apply(self, kind: str, cache: int, version: int) -> None:
+        """Run one stimulus to completion.
 
-    def victimize(self, cache: int) -> None:
-        if self.resident(cache) and self.states[cache].is_dirty:
-            self.transact(cache, BusOp.MWRITE,
-                          written=self.versions[cache])
-        self.states[cache] = LineState.INVALID
-        self.versions[cache] = None
-
-    def read_miss(self, cache: int) -> None:
-        self.victimize(cache)
-        shared, data = self.transact(cache, BusOp.MREAD)
-        rule = self.defn.read_miss
-        self.states[cache] = (rule.shared_state if shared
-                              else rule.exclusive_state)
-        self.versions[cache] = data
-
-    def write_hit(self, cache: int, fresh: int) -> None:
-        action = self.defn.write_hit_rule(self.states[cache]).action
-        if isinstance(action, SilentWrite):
-            self.versions[cache] = fresh
-            if action.next_state is not None:
-                self.states[cache] = action.next_state
-            return
-        if isinstance(action, WriteThrough):
-            shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh,
-                                      update_memory=action.update_memory)
-            self.versions[cache] = fresh
-            self.states[cache] = (action.shared_state if shared
-                                  else action.exclusive_state)
-            return
-        if isinstance(action, AcquireThenWrite):
-            self.transact(cache, BusOp.MINVALIDATE)
-            # One stimulus at a time: the copy can never be lost while
-            # the invalidation waits, so no write-miss fallback here.
-            self.versions[cache] = fresh
-            self.states[cache] = action.next_state
-            return
-        # AsWriteMiss
-        self.write_miss(cache, fresh)
-
-    def write_miss(self, cache: int, fresh: int) -> None:
-        # The model's geometry is one aligned longword per line.
-        action = self.defn.write_miss_rule(True).action
-        if isinstance(action, ReadThenWrite):
-            self.read_miss(cache)
-            self.write_hit(cache, fresh)
-            return
-        self.victimize(cache)
-        if isinstance(action, ReadForOwnership):
-            self.transact(cache, BusOp.MREAD_EX)
-            self.states[cache] = action.fill_state
-            self.versions[cache] = fresh  # fetched line, own word merged
-            return
-        if isinstance(action, WriteAllocate):
-            shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh)
-            self.states[cache] = (action.shared_state if shared
-                                  else action.exclusive_state)
-            self.versions[cache] = fresh
-            return
-        # WriteNoAllocate: nothing is filled.
-        self.transact(cache, BusOp.MWRITE, written=fresh)
-
-    def dma_read(self, cache: int) -> None:
-        if self.resident(cache):
-            return  # hit: served from the cache, no bus traffic
-        self.transact(cache, BusOp.MREAD)  # miss: read, do not allocate
-
-    def dma_write(self, cache: int, fresh: int) -> None:
-        was_resident = self.resident(cache)
-        shared, _ = self.transact(cache, BusOp.MWRITE, written=fresh)
-        if was_resident:
-            # The copy merged the DMA word at grant time and memory was
-            # updated by the same transaction: clean, state per facts.
-            self.versions[cache] = fresh
-            self.states[cache] = (self.defn.dma_shared_state if shared
-                                  else self.defn.dma_exclusive_state)
-
-
-def global_step(defn: ProtocolDef, state: GlobalState, kind: str,
-                cache: int, fresh_version: int) -> GlobalState:
-    """Apply one model-checker stimulus purely; returns the raw
-    (un-canonicalised) successor state.
-
-    ``kind`` is one of ``P-read`` / ``P-write`` / ``DMA-read`` /
-    ``DMA-write`` — the same stimulus vocabulary
-    :class:`repro.verify.model.ModelChecker` explores.
-    """
-    world = _World(defn, state)
-    if kind == "P-read":
-        if not world.resident(cache):
-            world.read_miss(cache)
-    elif kind == "P-write":
-        if world.resident(cache):
-            world.write_hit(cache, fresh_version)
+        ``P-read``, ``P-write``, ``DMA-read`` and ``DMA-write`` go
+        through cache ``cache``; ``M-read`` and ``M-write`` are raw bus
+        operations issued from its port (it does not snoop them).  A
+        write stores the word of ``version``.
+        """
+        word = _VALUE_BASE + version
+        port = self.caches[cache]
+        if kind == "P-read":
+            stimulus = port.cpu_read(MemRef(ADDRESS, AccessKind.DATA_READ))
+        elif kind == "P-write":
+            stimulus = port.cpu_write(
+                MemRef(ADDRESS, AccessKind.DATA_WRITE), word)
+        elif kind == "DMA-read":
+            stimulus = port.dma_read(ADDRESS)
+        elif kind == "DMA-write":
+            stimulus = port.dma_write(ADDRESS, word)
+        elif kind == "M-read":
+            stimulus = self.mbus.transaction(cache, BusOp.MREAD, ADDRESS,
+                                             initiator=cache)
+        elif kind == "M-write":
+            stimulus = self.mbus.transaction(cache, BusOp.MWRITE, ADDRESS,
+                                             initiator=cache, data=(word,))
         else:
-            world.write_miss(cache, fresh_version)
-    elif kind == "DMA-read":
-        world.dma_read(cache)
-    elif kind == "DMA-write":
-        world.dma_write(cache, fresh_version)
-    else:
-        raise SimulationError(f"unknown stimulus kind {kind!r}")
-    return world.freeze()
+            raise ConfigurationError(f"unknown stimulus {kind!r}")
+        self.sim.process(stimulus, "stimulus")
+        self.sim.run()
+
+    def observe(self) -> GlobalState:
+        """Every cache's line and the memory word, canonicalised."""
+        return abstract_state_of(self.caches, self.memory, ADDRESS)
+
+    def bus_ops(self) -> Tuple[str, ...]:
+        """Sorted labels of the bus ops since the last materialise.
+
+        A victim write-back is labelled ``MWrite(victim)``.
+        """
+        delta = {key: count - self._ops_before[key]
+                 for key, count in self._op_counts().items()}
+        labels: List[str] = []
+        for key, count in delta.items():
+            if key != "write.victim":
+                labels.extend([key[len("op."):]] * count)
+        for _ in range(delta["write.victim"]):
+            # One of the MWrites was a victim write; relabel it.
+            labels.remove("MWrite")
+            labels.append("MWrite(victim)")
+        return tuple(sorted(labels))
+
+    def _op_counts(self) -> Dict[str, int]:
+        return {key: counter.total for key, counter in self.mbus.stats.items()
+                if key.startswith("op.") or key == "write.victim"}
+
+
+def abstract_state_of(caches, memory, address: int) -> GlobalState:
+    """The canonical abstract state of one word in a live machine.
+
+    ``caches`` is any sequence of :class:`~repro.cache.cache.
+    SnoopyCache`.  Concrete words are renamed to versions in
+    first-appearance order, memory first, so two machines that differ
+    only in which words happen to be involved compare equal — and the
+    result is comparable against a model checker's ``reachable`` set.
+    """
+    memory_word = memory.peek(address)
+    rename: Dict[int, int] = {memory_word: 0}
+    views = []
+    for cache in caches:
+        state = cache.state_of(address)
+        if state is LineState.INVALID:
+            views.append((state.value, None))
+        else:
+            word = cache.peek(address)
+            views.append((state.value, rename.setdefault(word, len(rename))))
+    return tuple(views), 0

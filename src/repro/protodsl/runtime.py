@@ -5,10 +5,6 @@ the protocols package, which keeps the import graph acyclic from every
 entry point); this module is the protodsl-facing name for it.
 """
 
-from repro.cache.protocols.dsl import (
-    DSLProtocol,
-    ProtocolDefinitionError,
-    definition_of,
-)
+from repro.cache.protocols.dsl import DSLProtocol, ProtocolDefinitionError
 
-__all__ = ["DSLProtocol", "ProtocolDefinitionError", "definition_of"]
+__all__ = ["DSLProtocol", "ProtocolDefinitionError"]

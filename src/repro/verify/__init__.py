@@ -1,6 +1,6 @@
 """Static protocol verification and simulation-safety linting.
 
-Two engines, both usable as a library and via ``firefly-sim verify``:
+Four checkers, all usable as a library and via ``firefly-sim verify``:
 
 - :mod:`repro.verify.model` — an exhaustive model checker for the
   reachable global state space of an N-cache system under any
@@ -9,6 +9,8 @@ Two engines, both usable as a library and via ``firefly-sim verify``:
   CoherenceChecker` applies, factored into
   :mod:`repro.verify.invariants`) on every reachable state and
   producing a minimal counterexample stimulus trace on violation.
+  Its transition function is the protocol's runtime code, run on the
+  live single-line rig of :mod:`repro.protodsl.oracle`.
 - :mod:`repro.verify.structural` — structural checks over a protocol's
   measured transition table (:func:`repro.cache.fsm.
   full_transition_table`): totality, determinism, reachability, no
@@ -39,11 +41,11 @@ from repro.verify.model import (
     Counterexample,
     ModelChecker,
     VerificationReport,
-    abstract_state_of,
     verify_protocol,
 )
 from repro.verify.structural import StructuralFinding, check_structure
 from repro.protodsl import GuardFinding, check_guards
+from repro.protodsl.oracle import abstract_state_of
 
 __all__ = [
     "Copy",

@@ -36,7 +36,7 @@ V106):
     handlers from a declarative :class:`repro.protodsl.defs.
     ProtocolDef`.  Hand-written handlers bypass the guard checker's
     exhaustiveness/determinism/reachability proofs and silently fall
-    out of sync with the generated facts table and transition oracle.
+    out of sync with the generated facts table.
     (Classes whose base is literally ``Protocol`` — i.e. ``typing.
     Protocol`` structural types — are not protocol implementations and
     are not flagged.)

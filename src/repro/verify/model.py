@@ -24,21 +24,14 @@ distinct versions can be observed at once, so the abstract space is
 finite and small — a few hundred states for three caches.
 
 Soundness comes from using the real simulator as the transition
-function (the default ``oracle="sim"``): each exploration step
-materialises the abstract state into a fresh single-line rig (the same
-injection technique :mod:`repro.cache.fsm` uses to measure Figure 3),
-applies one stimulus through the actual cache/bus/protocol code, and
-reads the successor state back.  Nothing about the protocols is
-re-modelled, so the checker verifies the *implementation*, not a
-transcription of it.
-
-For protocols expressed in the guarded-action DSL, ``oracle="dsl"``
-swaps in :func:`repro.protodsl.oracle.global_step` — a pure transition
-function compiled from the same declarative definition the runtime
-protocol is compiled from, with no simulator in the loop.  It is much
-faster, and the cross-validation tests assert both oracles reach the
-identical state set, which pins the generated runtime code and the
-generated oracle to each other through the bus semantics.
+function: each exploration step materialises the abstract state into
+one N-cache :class:`~repro.protodsl.oracle.LineRig` (the same rig
+:mod:`repro.cache.fsm` measures Figure 3 on), applies one stimulus
+through the actual cache/bus/protocol code, and reads the successor
+state back.  Nothing about the protocols is re-modelled, so the
+checker verifies the *implementation*, not a transcription of it.
+A stimulus that raises (a protocol reaching a state its handlers
+cannot serve) is reported as a counterexample too.
 
 Breadth-first exploration makes the first trace that reaches a
 violating state a minimal one (fewest stimuli).
@@ -55,29 +48,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.bus.mbus import MBus
-from repro.cache.cache import CacheGeometry, SnoopyCache
 from repro.cache.fsm import PROTOCOL_STATES
 from repro.cache.line import LineState
-from repro.cache.protocols import definition_of, protocol_by_name
-from repro.common.errors import ConfigurationError
-from repro.common.events import Simulator
-from repro.common.types import AccessKind, MemRef
-from repro.memory.main_memory import MainMemory, MemoryModule
-from repro.protodsl.oracle import global_step
+from repro.cache.protocols import protocol_by_name
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.protodsl.oracle import ADDRESS, GlobalState, LineRig
 from repro.verify.invariants import Violation, check_word
 from repro.verify.structural import StructuralFinding, check_structure
 
-#: (state value, version) per cache — version None when INVALID — plus
-#: the memory version, e.g. ((("D", 1), ("I", None)), 0).
-GlobalState = Tuple[Tuple[Tuple[str, Optional[int]], ...], int]
-
 #: One stimulus: ("P-read" | "P-write" | "DMA-read" | "DMA-write", cache).
 Stimulus = Tuple[str, int]
-
-_VALUE_BASE = 1000  # version v is materialised as the word 1000 + v
-_ADDRESS = 0        # the single line the model tracks
-_DMA_INITIATOR_OFFSET = 100  # DMA port ids sit above any cache id
 
 
 @dataclass(frozen=True)
@@ -86,7 +66,8 @@ class Counterexample:
 
     ``trace`` lists (stimulus, resulting global state) pairs; applying
     the stimuli in order from the all-invalid reset state reproduces
-    the violation in a live rig.
+    the violation in a live rig.  When a stimulus raised, it is the
+    last step and its state is None.
     """
 
     protocol: str
@@ -132,49 +113,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def format_state(state: GlobalState) -> str:
-    """Compact rendering, e.g. ``caches[D:v1, I, S:v0] mem=v0``."""
+def format_state(state: Optional[GlobalState]) -> str:
+    """Compact rendering, e.g. ``caches[D:v1, I, S:v0] mem=v0``
+    (``raised`` for a stimulus that left no successor)."""
+    if state is None:
+        return "raised"
     caches, memory = state
     cells = []
     for value, version in caches:
         cells.append(value if version is None else f"{value}:v{version}")
     return f"caches[{', '.join(cells)}] mem=v{memory}"
-
-
-class _ModelRig:
-    """A fresh N-cache single-line rig for one transition step."""
-
-    def __init__(self, protocol, n_caches: int) -> None:
-        self.sim = Simulator()
-        self.memory = MainMemory([MemoryModule(0, 1 << 10, is_master=True)])
-        self.mbus = MBus(self.sim, self.memory)
-        geometry = CacheGeometry(1, 1)
-        self.caches = [SnoopyCache(self.mbus, protocol, i, geometry)
-                       for i in range(n_caches)]
-
-    def materialise(self, state: GlobalState) -> None:
-        caches, memory_version = state
-        self.memory.poke(_ADDRESS, _VALUE_BASE + memory_version)
-        for cache, (value, version) in zip(self.caches, caches):
-            if version is None:
-                continue
-            line, _, tag, _ = cache.lookup(_ADDRESS)
-            line.fill(tag, (_VALUE_BASE + version,), LineState(value))
-
-    def run(self, gen) -> None:
-        self.sim.process(gen, "stimulus")
-        self.sim.run()
-
-    def observe(self) -> Tuple[Tuple[Tuple[str, Optional[int]], ...], int]:
-        """Read back the (un-canonicalised) global state as raw values."""
-        views = []
-        for cache in self.caches:
-            state = cache.state_of(_ADDRESS)
-            if state is LineState.INVALID:
-                views.append((LineState.INVALID.value, None))
-            else:
-                views.append((state.value, cache.peek(_ADDRESS)))
-        return tuple(views), self.memory.peek(_ADDRESS)
 
 
 class ModelChecker:
@@ -187,28 +135,17 @@ class ModelChecker:
     """
 
     def __init__(self, protocol_name: str, caches: int = 3,
-                 protocol=None, include_dma: bool = False,
-                 oracle: str = "sim") -> None:
+                 protocol=None, include_dma: bool = False) -> None:
         if protocol_name not in PROTOCOL_STATES:
             raise ConfigurationError(f"unknown protocol {protocol_name!r}")
         if caches < 2:
             raise ConfigurationError(
                 f"model checking needs >= 2 caches, got {caches}")
-        if oracle not in ("sim", "dsl"):
-            raise ConfigurationError(
-                f"unknown oracle {oracle!r}; choose 'sim' or 'dsl'")
         self.protocol_name = protocol_name
         self.protocol = (protocol if protocol is not None
                          else protocol_by_name(protocol_name))
         self.caches = caches
         self.include_dma = include_dma
-        self.oracle = oracle
-        # definition_of refuses protocols whose behaviour is not fully
-        # captured by a definition (hand-written handlers, mutation-test
-        # subclasses with overrides) — exactly the cases where the pure
-        # oracle would silently diverge from the running code.
-        self._definition = (definition_of(self.protocol)
-                            if oracle == "dsl" else None)
 
     # -- stimuli ---------------------------------------------------------
 
@@ -219,38 +156,6 @@ class ModelChecker:
             # All DMA flows through the I/O processor's cache (cache 0).
             kinds += [("DMA-read", 0), ("DMA-write", 0)]
         return kinds
-
-    def _apply(self, state: GlobalState,
-               stimulus: Stimulus) -> GlobalState:
-        """Run one stimulus against a materialised rig; canonical result."""
-        if self.oracle == "dsl":
-            kind, cache_index = stimulus
-            raw = global_step(self._definition, state, kind, cache_index,
-                              self._fresh_version(state))
-            return _canonicalise(raw)
-        rig = _ModelRig(self.protocol, self.caches)
-        rig.materialise(state)
-        kind, cache_index = stimulus
-        cache = rig.caches[cache_index]
-        fresh = _VALUE_BASE + self._fresh_version(state)
-        if kind == "P-read":
-            def gen():
-                yield from cache.cpu_read(
-                    MemRef(_ADDRESS, AccessKind.DATA_READ))
-        elif kind == "P-write":
-            def gen():
-                yield from cache.cpu_write(
-                    MemRef(_ADDRESS, AccessKind.DATA_WRITE), fresh)
-        elif kind == "DMA-read":
-            def gen():
-                yield from cache.dma_read(_ADDRESS)
-        elif kind == "DMA-write":
-            def gen():
-                yield from cache.dma_write(_ADDRESS, fresh)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown stimulus kind {kind!r}")
-        rig.run(gen())
-        return _canonicalise(rig.observe())
 
     @staticmethod
     def _fresh_version(state: GlobalState) -> int:
@@ -265,7 +170,8 @@ class ModelChecker:
 
         The structural pass over the measured transition table runs
         first — a non-total or non-deterministic table would make the
-        exploration itself untrustworthy.
+        exploration itself untrustworthy.  One rig serves the whole
+        exploration, re-materialised for every step.
         """
         report = VerificationReport(self.protocol_name, self.caches)
         self.reachable: frozenset = frozenset()
@@ -280,12 +186,26 @@ class ModelChecker:
         frontier: List[GlobalState] = [initial]
         stimuli = self.stimuli()
         silent_states = self.protocol.silent_write_states
+        rig = LineRig(self.protocol, self.caches)
 
         while frontier:
             next_frontier: List[GlobalState] = []
             for state in frontier:
                 for stimulus in stimuli:
-                    successor = self._apply(state, stimulus)
+                    kind, cache = stimulus
+                    rig.materialise(state)
+                    try:
+                        rig.apply(kind, cache, self._fresh_version(state))
+                    except SimulationError as error:
+                        report.states_explored = len(parent)
+                        self.reachable = frozenset(parent)
+                        report.counterexample = self._trace(
+                            parent, state,
+                            Violation("completion", ADDRESS,
+                                      f"{type(error).__name__}: {error}"),
+                            raised=stimulus)
+                        return report
+                    successor = rig.observe()
                     report.transitions_taken += 1
                     if successor not in parent:
                         parent[successor] = (state, stimulus)
@@ -315,11 +235,13 @@ class ModelChecker:
         copies = [(cid, LineState(value), version)
                   for cid, (value, version) in enumerate(caches)
                   if version is not None]
-        return check_word(_ADDRESS, copies, memory_version, silent_states)
+        return check_word(ADDRESS, copies, memory_version, silent_states)
 
-    def _trace(self, parent, state: GlobalState,
-               violation: Violation) -> Counterexample:
-        steps: List[Tuple[Stimulus, GlobalState]] = []
+    def _trace(self, parent, state: GlobalState, violation: Violation,
+               raised: Optional[Stimulus] = None) -> Counterexample:
+        steps: List[Tuple[Stimulus, Optional[GlobalState]]] = []
+        if raised is not None:
+            steps.append((raised, None))
         cursor: Optional[GlobalState] = state
         while parent[cursor] is not None:
             predecessor, stimulus = parent[cursor]
@@ -330,51 +252,14 @@ class ModelChecker:
                               violation=violation, trace=tuple(steps))
 
 
-def _canonicalise(raw) -> GlobalState:
-    """Rename concrete values to versions in first-appearance order.
-
-    Memory is scanned first, then cache 0..N-1, so two configurations
-    that differ only in which concrete words happen to be involved
-    collapse to the same abstract state.
-    """
-    views, memory_value = raw
-    rename: Dict[int, int] = {memory_value: 0}
-    for _, value in views:
-        if value is not None and value not in rename:
-            rename[value] = len(rename)
-    caches = tuple(
-        (state, None if value is None else rename[value])
-        for state, value in views)
-    return caches, rename[memory_value]
-
-
-def abstract_state_of(caches, memory, address: int) -> GlobalState:
-    """The canonical abstract state of one word in a live machine.
-
-    ``caches`` is any sequence of :class:`~repro.cache.cache.
-    SnoopyCache`; the result is comparable against a
-    :class:`ModelChecker`'s ``reachable`` set, which is how the fuzz
-    tests cross-validate the dynamic and static checkers.
-    """
-    views = []
-    for cache in caches:
-        state = cache.state_of(address)
-        if state is LineState.INVALID:
-            views.append((LineState.INVALID.value, None))
-        else:
-            views.append((state.value, cache.peek(address)))
-    return _canonicalise((tuple(views), memory.peek(address)))
-
-
 def verify_protocol(protocol_name: str, caches: int = 3,
                     protocol=None, include_dma: bool = False,
-                    max_states: int = 100_000,
-                    oracle: str = "sim") -> VerificationReport:
+                    max_states: int = 100_000) -> VerificationReport:
     """Run the full static verification for one protocol.
 
     >>> verify_protocol("write-through", caches=2).ok
     True
     """
     checker = ModelChecker(protocol_name, caches=caches, protocol=protocol,
-                           include_dma=include_dma, oracle=oracle)
+                           include_dma=include_dma)
     return checker.explore(max_states=max_states)

@@ -100,20 +100,27 @@ class TestCli:
 
 
 class TestCliVerify:
-    """The verify subcommand: guard stage, --json document, --oracle."""
+    """The verify subcommand: guard stage, --json document, lint scope."""
 
-    def test_verify_one_protocol_with_dsl_oracle(self, capsys):
-        assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl"]) == 0
+    def test_verify_one_protocol(self, capsys):
+        assert main(["verify", "--protocol", "mesi", "--no-lint"]) == 0
         out = capsys.readouterr().out
         assert "[OK] mesi" in out
         assert "all checks passed" in out
+
+    def test_lint_only_and_no_lint_are_exclusive(self, capsys):
+        # Together they would check nothing and still report a pass.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--lint-only", "--no-lint"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--lint-only" in err and "--no-lint" in err
 
     def test_verify_json_document(self, tmp_path, capsys):
         import json
         out_path = tmp_path / "findings.json"
         assert main(["verify", "--all-protocols", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path)]) == 0
+                     "--json", str(out_path)]) == 0
         capsys.readouterr()
         document = json.loads(out_path.read_text())
         assert document["ok"] is True
@@ -123,7 +130,6 @@ class TestCliVerify:
         entry = document["protocols"]["firefly"]
         assert entry["guard_findings"] == []
         assert entry["model"]["ok"] is True
-        assert entry["model"]["oracle"] == "dsl"
         assert entry["model"]["counterexample"] is None
 
     def test_verify_json_is_byte_stable(self, tmp_path, capsys):
@@ -131,7 +137,7 @@ class TestCliVerify:
         second = tmp_path / "b.json"
         for path in (first, second):
             assert main(["verify", "--protocol", "bedrock", "--no-lint",
-                         "--oracle", "dsl", "--json", str(path)]) == 0
+                         "--json", str(path)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
@@ -140,14 +146,31 @@ class TestCliVerify:
         out_path = tmp_path / "findings.json"
         out_path.write_text("{}")
         assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path)]) == 1
+                     "--json", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert "--force" in err
         assert out_path.read_text() == "{}"
         assert main(["verify", "--protocol", "mesi", "--no-lint",
-                     "--oracle", "dsl", "--json", str(out_path),
-                     "--force"]) == 0
+                     "--json", str(out_path), "--force"]) == 0
         capsys.readouterr()
+
+    def test_raising_stimulus_lands_in_the_document(self, tmp_path,
+                                                    monkeypatch, capsys):
+        import json
+
+        import repro.verify.model as model
+        from tests.test_verify_model import _DmaLeakWriteOnce
+        monkeypatch.setattr(model, "protocol_by_name",
+                            lambda name: _DmaLeakWriteOnce())
+        out_path = tmp_path / "findings.json"
+        assert main(["verify", "--protocol", "write-once", "--dma",
+                     "--no-lint", "--json", str(out_path)]) == 1
+        assert "->  raised" in capsys.readouterr().out
+        model_entry = json.loads(out_path.read_text())[
+            "protocols"]["write-once"]["model"]
+        counterexample = model_entry["counterexample"]
+        assert counterexample["violation"].startswith("completion violated")
+        assert counterexample["trace"][-1]["state"] == "raised"
 
     def test_verify_lint_findings_land_in_the_document(self, tmp_path,
                                                        capsys):

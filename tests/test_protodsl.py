@@ -15,7 +15,6 @@ from repro.cache.line import LineState
 from repro.cache.protocols import (
     PROTOCOL_DEFINITIONS,
     ProtocolDefinitionError,
-    definition_of,
     protocol_by_name,
 )
 from repro.cache.protocols.dsl import DSLProtocol
@@ -235,26 +234,6 @@ class TestCompiler:
         assert protocol.silent_write_states == facts.silent_write_states
         assert protocol.resident_after_dma_write(True) is S
         assert protocol.resident_after_dma_write(False) is V
-
-    def test_definition_of_rejects_non_dsl_protocols(self):
-        from tests.legacy_protocols import LegacyFireflyProtocol
-        with pytest.raises(ConfigurationError):
-            definition_of(LegacyFireflyProtocol())
-
-    def test_definition_of_rejects_handler_overrides(self):
-        from repro.cache.protocols import FireflyProtocol
-
-        class Tampered(FireflyProtocol):
-            def snoop(self, *args, **kwargs):  # lint: allow(V105)
-                return super().snoop(*args, **kwargs)
-
-        with pytest.raises(ConfigurationError):
-            definition_of(Tampered())
-
-    def test_definition_of_accepts_registry_protocols(self):
-        for name in sorted(PROTOCOL_DEFINITIONS):
-            assert definition_of(protocol_by_name(name)) is \
-                PROTOCOL_DEFINITIONS[name]
 
 
 class TestMetricPins:

@@ -14,6 +14,7 @@ from repro.bus.mbus import SnoopResult
 from repro.cache.line import LineState
 from repro.cache.protocols import available_protocols
 from repro.cache.protocols.firefly import FireflyProtocol
+from repro.cache.protocols.write_once import WriteOnceProtocol
 from repro.cache.protocols.write_through import WriteThroughInvalidateProtocol
 from repro.common.errors import ConfigurationError
 from repro.common.types import BusOp
@@ -117,6 +118,42 @@ class TestCounterexampleGeneration:
         # INVALID --P-read (peer holds)--> VALID is a silent capture.
         findings = check_structure("firefly", protocol=_LeakyFirefly())
         assert any(f.check == "silent-capture" for f in findings)
+
+
+class _DmaLeakWriteOnce(WriteOnceProtocol):
+    """A shared DMA write leaves the I/O cache in SHARED — a state
+    outside write-once's vocabulary, so the next snooped MRead finds no
+    rule and the handler raises instead of answering."""
+
+    def resident_after_dma_write(self, shared_response):
+        if shared_response:
+            return LineState.SHARED
+        return super().resident_after_dma_write(shared_response)
+
+
+class TestRaisingStimulus:
+    """A stimulus that raises is a counterexample, not a crash."""
+
+    def test_raise_is_reported_with_its_minimal_trace(self):
+        report = verify_protocol("write-once", caches=3,
+                                 protocol=_DmaLeakWriteOnce(),
+                                 include_dma=True)
+        assert not report.ok
+        counterexample = report.counterexample
+        assert counterexample.violation.invariant == "completion"
+        assert "snooped foreign bus op" in counterexample.violation.detail
+        *path, (raised, final) = counterexample.trace
+        assert final is None and raised[0] == "P-read"
+        assert path[-1][0] == ("DMA-write", 0)
+        assert "S:v" in format_state(path[-1][1])
+        text = report.render()
+        assert f"{len(path) + 1}. P-read @cache{raised[1]}  ->  raised" \
+            in text
+
+    def test_mutant_is_clean_without_dma(self):
+        report = verify_protocol("write-once", caches=3,
+                                 protocol=_DmaLeakWriteOnce())
+        assert report.ok, report.render()
 
 
 class _StatefulFirefly(FireflyProtocol):
