@@ -6,10 +6,20 @@
 #
 # Usage: scripts/check.sh [extra pytest args]
 # e.g.:  scripts/check.sh -m telemetry
+#
+# The reports worth keeping (verify findings, serve report, campaign
+# report, dashboard, crash report) go to $ARTIFACTS_DIR when it is set
+# (CI sets it and uploads the directory), else to a scratch directory
+# removed on exit.
 set -eu
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+OUT="${ARTIFACTS_DIR:-$TMP}"
+mkdir -p "$OUT"
 
 echo "== compileall =="
 python -m compileall -q src examples benchmarks scripts
@@ -35,7 +45,8 @@ python -m pytest -q fireflybench
 echo "== static verification (firefly-sim verify) =="
 # With DMA stimuli: a protocol that leaks a state through the I/O
 # cache's DMA path is only caught with them (docs/VERIFY.md).
-python -m repro.cli verify --all-protocols --dma
+python -m repro.cli verify --all-protocols --dma \
+    --json "$OUT/findings.json" --force
 
 echo "== bench smoke + overhead gates (firefly-sim bench --jobs 2) =="
 # Quick suite with two parallel workers into a scratch dir: proves the
@@ -45,64 +56,52 @@ echo "== bench smoke + overhead gates (firefly-sim bench --jobs 2) =="
 # 2% budget fails this script).  Speed comparisons between revisions
 # are scripts/ab.py's job.  Nothing touches BENCH_*.json at the repo
 # root.
-BENCH_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP"' EXIT
 python -m repro.cli bench --quick --trials 1 --jobs 2 \
     --scenario exerciser-1cpu --scenario table1-sweep \
     --scenario core-microbench --scenario vector-stat \
-    --out-dir "$BENCH_TMP"
+    --out-dir "$TMP"
 
 echo "== chaos smoke + jobs parity (firefly-sim chaos --jobs 2) =="
 # One quick seeded fault campaign: proves every recovery path end to
 # end (see docs/FAULTS.md); exits nonzero if any scenario fails.  Run
 # twice at different job counts and require byte-identical reports —
 # both go through the one trial pipeline.
-CHAOS_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP"' EXIT
 python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline --jobs 2 --json "$CHAOS_TMP/chaos-j2.json"
+    --scenario cpu-offline --jobs 2 --json "$TMP/chaos-j2.json"
 python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline --jobs 1 --json "$CHAOS_TMP/chaos-j1.json" \
+    --scenario cpu-offline --jobs 1 --json "$TMP/chaos-j1.json" \
     >/dev/null
-cmp "$CHAOS_TMP/chaos-j2.json" "$CHAOS_TMP/chaos-j1.json"
+cmp "$TMP/chaos-j2.json" "$TMP/chaos-j1.json"
 
 echo "== serve smoke + SLO gate (firefly-sim serve --jobs 2) =="
 # One quick open-loop serving scenario under the resilience layer: the
 # SLO gate exits nonzero on a p99 or success-rate breach (see
 # docs/SERVING.md).  Run twice at different job counts and require
 # byte-identical reports — the serving layer's determinism contract.
-SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP" "$SERVE_TMP"' EXIT
-SERVE_OUT="${ARTIFACTS_DIR:-$SERVE_TMP}/serve.json"
 python -m repro.cli serve --quick --scenario steady-poisson \
-    --jobs 2 --json "$SERVE_OUT" --force
+    --jobs 2 --json "$OUT/serve.json" --force
 python -m repro.cli serve --quick --scenario steady-poisson \
-    --jobs 1 --json "$SERVE_TMP/serve-j1.json" --force >/dev/null
-cmp "$SERVE_OUT" "$SERVE_TMP/serve-j1.json"
+    --jobs 1 --json "$TMP/serve-j1.json" --force >/dev/null
+cmp "$OUT/serve.json" "$TMP/serve-j1.json"
 
 echo "== campaign smoke (firefly-sim campaign run + report) =="
 # The quick example campaign through the resumable ledger into a
 # scratch store (golden digests included — drift exits nonzero), then
 # the HTML dashboard over the committed BENCH files plus that ledger
 # (see docs/CAMPAIGNS.md).
-CAMPAIGN_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP" "$CHAOS_TMP" "$SERVE_TMP" "$CAMPAIGN_TMP"' EXIT
 python -m repro.cli campaign run examples/campaigns/quick.yaml \
-    --jobs 2 --store-dir "$CAMPAIGN_TMP/store" \
-    --report "$CAMPAIGN_TMP/report.json"
+    --jobs 2 --store-dir "$TMP/store" \
+    --report "$OUT/campaign-report.json" --force
 python -m repro.cli campaign report --bench-dir . \
-    --store-dir "$CAMPAIGN_TMP/store" --out "$CAMPAIGN_TMP/dashboard.html"
+    --store-dir "$TMP/store" --out "$OUT/dashboard.html" --force
 
 echo "== postmortem smoke (firefly-sim postmortem) =="
 # Induce the pinned AB/BA deadlock, capture the firefly-crash/1 report
 # and render it (see docs/CAUSAL.md).  The grep pins the acceptance
-# criterion: the postmortem names the exact wait-for cycle.  The crash
-# JSON lands in ARTIFACTS_DIR when CI exports one (kept as an artifact),
-# else in the scratch dir.
-CRASH_OUT="${ARTIFACTS_DIR:-$CAMPAIGN_TMP}/crash.json"
+# criterion: the postmortem names the exact wait-for cycle.
 python -m repro.cli postmortem --scenario deadlock \
-    --json "$CRASH_OUT" --force | tee "$CAMPAIGN_TMP/postmortem.txt"
-grep -q "wait-for cycle" "$CAMPAIGN_TMP/postmortem.txt"
+    --json "$OUT/crash.json" --force | tee "$TMP/postmortem.txt"
+grep -q "wait-for cycle" "$TMP/postmortem.txt"
 grep -q "left-fork waits on lock:fork-b held by right-fork" \
-    "$CAMPAIGN_TMP/postmortem.txt"
-python -m repro.cli postmortem "$CRASH_OUT" >/dev/null
+    "$TMP/postmortem.txt"
+python -m repro.cli postmortem "$OUT/crash.json" >/dev/null

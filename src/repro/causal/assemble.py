@@ -5,8 +5,7 @@ The :class:`RequestTracer` subscribes to a live
 *where the time went*.  A request is one ``rpc.call`` span (or any
 COMPLETE event carrying ``tid``/``trace``/``span`` args and a ``cls``
 label); its turnaround is attributed into seven segments that **sum
-exactly** to the measured latency — the same exact-sum discipline as
-the observatory's CacheSpans:
+exactly** to the measured latency:
 
 ``run``
     On a CPU, executing, not stalled on the MBus.
@@ -36,7 +35,8 @@ The decomposition is evidence-driven, from four event families:
 - ``sched.ready`` (instant): when a thread re-entered the ready queue
   (splits an off-CPU gap into blocked vs scheduler-wait);
 - ``bus.op`` (COMPLETE): per-initiator arbitration wait and transfer
-  intervals, clipped against the covering run slice;
+  intervals, kept in a :class:`BusOpLedger` and clipped against the
+  covering run slice;
 - ``rpc.call`` / ``causal.fork`` / ``causal.wake``: the requests
   themselves and the parent→child links for span trees.
 
@@ -44,6 +44,11 @@ Because a request's COMPLETE event is emitted *while its thread is
 still running* (mid run-slice), finalisation is deferred until the
 covering ``sched.run`` closes; :meth:`RequestTracer.close` force-
 finalises any leftovers (flagged ``complete=False``).
+
+The :class:`BusOpLedger` is the repository's one bus-op store: the
+observatory's ``SpanTracer`` splits each cache span into arbitration
+wait, transfer and the rest with the same :meth:`BusOpLedger.overlap`,
+so a request segment and a cache span never disagree about a bus op.
 """
 
 from __future__ import annotations
@@ -75,17 +80,87 @@ _MAX_BUS_OPS_PER_CPU = 100_000
 _MAX_SLICES_PER_TID = 100_000
 _MAX_READY_PER_TID = 100_000
 _MAX_LINKS = 65_536
+_KEEP_REQUESTS = 8192
 
 
-def _cpu_of_track(track: str) -> Optional[int]:
-    """``cpu3`` / ``m1.cpu3`` -> 3; None for non-CPU tracks."""
+def track_index(track: str, device: str) -> Optional[int]:
+    """The unit number of a ``<device><n>`` track, or None.
+
+    A machine prefix is allowed: ``track_index("m1.cpu3", "cpu")`` and
+    ``track_index("cache3", "cache")`` are both 3.
+    """
     leaf = track.rsplit(".", 1)[-1]
-    if leaf.startswith("cpu"):
-        try:
-            return int(leaf[3:])
-        except ValueError:
-            return None
+    number = leaf[len(device):]
+    if leaf.startswith(device) and number.isdigit():
+        return int(number)
     return None
+
+
+class BusOpLedger:
+    """Per-initiator bus operations, read back as interval overlaps.
+
+    Each op is kept as ``(release, request, grant)``: arbitration wait
+    over ``[request, grant)``, then transfer over ``[grant, release)``.
+    The MBus grants one operation at a time and its ``bus.op`` event is
+    emitted on release, so each initiator's ops are in release order.
+    """
+
+    __slots__ = ("_ops",)
+
+    def __init__(self) -> None:
+        self._ops: Dict[int, List[Tuple[int, int, int]]] = {}
+
+    def add(self, initiator: int, grant: int, transfer: int,
+            wait: int) -> None:
+        """Record one op: ``wait`` cycles queued, granted at ``grant``."""
+        ops = self._ops.get(initiator)
+        if ops is None:
+            ops = self._ops[initiator] = []
+        elif len(ops) >= 2 * _MAX_BUS_OPS_PER_CPU:
+            # Trim in bulk; overlap reads only the newest ops.
+            del ops[:-_MAX_BUS_OPS_PER_CPU]
+        ops.append((grant + transfer, grant - wait, grant))
+
+    def forget(self, initiator: int, upto: int) -> None:
+        """Drop the initiator's ops released at or before ``upto``."""
+        ops = self._ops.get(initiator)
+        if ops:
+            del ops[:bisect_right(ops, (upto, inf))]
+
+    def overlap(self, initiator: int, a: int, b: int) -> Tuple[int, int]:
+        """(arb_wait, transfer) cycles of the initiator's ops in [a, b).
+
+        Intervals are clipped to ``[a, b)`` and unioned, so overlapping
+        ops (a prefetch racing the demand stream, DMA sharing the I/O
+        processor's initiator) never double-count a cycle; where a wait
+        and a transfer overlap, transfer wins.  The two totals together
+        never exceed ``b - a``.  Only the newest ``_MAX_BUS_OPS_PER_CPU``
+        ops count, and since they are in release order the scan starts
+        at the first one released after ``a``.
+        """
+        ops = self._ops.get(initiator)
+        if not ops:
+            return 0, 0
+        first = bisect_right(ops, (a, inf),
+                             max(0, len(ops) - _MAX_BUS_OPS_PER_CPU))
+        waits: List[Tuple[int, int]] = []
+        xfers: List[Tuple[int, int]] = []
+        for index in range(first, len(ops)):
+            release, req, grant = ops[index]
+            if req >= b:
+                break
+            w0, w1 = max(req, a), min(grant, b)
+            if w1 > w0:
+                waits.append((w0, w1))
+            x0, x1 = max(grant, a), min(release, b)
+            if x1 > x0:
+                xfers.append((x0, x1))
+        if not waits and not xfers:
+            return 0, 0
+        xfer_total = _union_length(xfers)
+        # Arb wait counts only where no transfer covers the cycle.
+        arb_total = _union_length(waits + xfers) - xfer_total
+        return arb_total, xfer_total
 
 
 class RequestRecord:
@@ -127,18 +202,17 @@ class RequestTracer:
     read :attr:`finished`, :meth:`percentiles` and :meth:`span_tree`.
     """
 
-    def __init__(self, hub: TelemetryHub, keep_requests: int = 8192) -> None:
+    def __init__(self, hub: TelemetryHub) -> None:
         self.hub = hub
-        self.keep_requests = keep_requests
         #: Finalised requests, oldest first (bounded).
-        self.finished: Deque[RequestRecord] = deque(maxlen=keep_requests)
+        self.finished: Deque[RequestRecord] = deque(maxlen=_KEEP_REQUESTS)
         self.assembled = 0
         self.incomplete = 0
 
         # Raw evidence, pruned as requests finalise.
         self._slices: Dict[int, List[Tuple[int, int, int, str]]] = {}
         self._ready: Dict[int, List[int]] = {}
-        self._bus: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._ledger = BusOpLedger()
         self._pending: List[RequestRecord] = []
         self._links: Deque[Tuple[str, Tuple]] = deque(maxlen=_MAX_LINKS)
 
@@ -158,7 +232,7 @@ class RequestTracer:
             tid = args.get("tid")
             if tid is None:
                 return
-            cpu = _cpu_of_track(event.track)
+            cpu = track_index(event.track, "cpu")
             if cpu is None:
                 return
             slices = self._slices.setdefault(tid, [])
@@ -183,18 +257,8 @@ class RequestTracer:
         initiator = args.get("initiator")
         if initiator is None:
             return
-        wait = args.get("wait", 0)
-        ring = self._bus.get(initiator)
-        if ring is None:
-            ring = self._bus[initiator] = []
-        elif len(ring) >= 2 * _MAX_BUS_OPS_PER_CPU:
-            # Trim in bulk; _bus_overlap reads only the newest ops.
-            del ring[:-_MAX_BUS_OPS_PER_CPU]
-        # (release, request, grant): arbitration wait then transfer.
-        # The MBus grants one operation at a time and the event is
-        # emitted on release, so a ring is in release order.
-        ring.append((event.time + event.duration, event.time - wait,
-                     event.time))
+        self._ledger.add(initiator, event.time, event.duration,
+                         args.get("wait", 0))
 
     def _on_request(self, event: TelemetryEvent) -> None:
         args = dict(event.args)
@@ -253,7 +317,7 @@ class RequestTracer:
             a, b = max(s_start, t0), min(s_end, t1)
             if a > cursor:
                 self._classify_gap(record, cursor, a, prev_reason)
-            arb, xfer = self._bus_overlap(cpu, a, b)
+            arb, xfer = self._ledger.overlap(cpu, a, b)
             seg["bus_arb_wait"] += arb
             seg["transfer"] += xfer
             seg["run"] += (b - a) - arb - xfer
@@ -326,40 +390,6 @@ class RequestTracer:
         if i < len(marks) and marks[i] <= before:
             return marks[i]
         return None
-
-    def _bus_overlap(self, cpu: int, a: int, b: int) -> Tuple[int, int]:
-        """(arb_wait, transfer) cycles of CPU ``cpu``'s bus ops in [a, b).
-
-        Intervals are swept so overlapping ops (e.g. a prefetch racing
-        the demand stream) never double-count a cycle; where wait and
-        transfer overlap, transfer wins.  Only the newest
-        ``_MAX_BUS_OPS_PER_CPU`` ops count, and since the ring is in
-        release order the scan starts at the first one released after
-        ``a``.
-        """
-        ops = self._bus.get(cpu)
-        if not ops:
-            return 0, 0
-        first = bisect_right(ops, (a, inf),
-                             max(0, len(ops) - _MAX_BUS_OPS_PER_CPU))
-        waits: List[Tuple[int, int]] = []
-        xfers: List[Tuple[int, int]] = []
-        for index in range(first, len(ops)):
-            release, req, grant = ops[index]
-            if req >= b:
-                break
-            w0, w1 = max(req, a), min(grant, b)
-            if w1 > w0:
-                waits.append((w0, w1))
-            x0, x1 = max(grant, a), min(release, b)
-            if x1 > x0:
-                xfers.append((x0, x1))
-        if not waits and not xfers:
-            return 0, 0
-        xfer_total = _union_length(xfers)
-        # Arb wait counts only where no transfer covers the cycle.
-        arb_total = _union_length(waits + xfers) - xfer_total
-        return arb_total, xfer_total
 
     def _record_stats(self, record: RequestRecord) -> None:
         cls = record.cls
@@ -462,18 +492,17 @@ def _union_length(intervals: List[Tuple[int, int]]) -> int:
     return total
 
 
-def trace_requests(kernel, transport=None, max_events: int = 0,
-                   keep_requests: int = 8192
+def trace_requests(kernel, transport=None
                    ) -> Tuple[TelemetryHub, RequestTracer]:
     """One-call setup: a streaming hub + request tracer on a kernel.
 
-    ``max_events=0`` keeps the hub buffer empty (pure streaming) so
-    long runs don't hold every event; pass a transport to also capture
-    ``rpc.call`` requests.
+    The hub buffers nothing (``max_events=0``), so long runs don't hold
+    every event; pass a transport to also capture ``rpc.call``
+    requests.
     """
     from repro.telemetry.instrument import (attach_kernel, attach_rpc)
-    hub = TelemetryHub(kernel.sim, max_events=max_events)
+    hub = TelemetryHub(kernel.sim, max_events=0)
     attach_kernel(hub, kernel)
     if transport is not None:
         attach_rpc(hub, transport)
-    return hub, RequestTracer(hub, keep_requests=keep_requests)
+    return hub, RequestTracer(hub)

@@ -45,7 +45,6 @@ from repro.observatory.runner import (
     run_sweep,
 )
 from repro.observatory.spans import (
-    BusSpan,
     CacheSpan,
     SpanTracer,
     trace_spans,
@@ -54,7 +53,6 @@ from repro.observatory.spans import (
 __all__ = [
     "BENCH_SCHEMA",
     "SCENARIOS",
-    "BusSpan",
     "CacheSpan",
     "DivergenceBands",
     "DivergenceMonitor",

@@ -6,15 +6,16 @@ an individual MBus transaction queued for the arbiter, how long a miss
 stalled a processor, which stage of the miss dominated.  This module
 rebuilds that view from the telemetry stream:
 
-- every ``bus.op`` event becomes a :class:`BusSpan` with a causal
-  decomposition ``request enqueue → arbitration wait → bus cycles``
-  (plus the supply source: memory or cache-to-cache, and the victim
-  flag);
+- every ``bus.op`` event is a bus span whose ``request enqueue →
+  arbitration wait → bus cycles`` decomposition (plus the supply
+  source: ``memory``, ``cache``-to-cache, or ``none`` for writes and
+  invalidates) streams into per-kind and per-CPU histograms, and is
+  kept in a :class:`~repro.causal.assemble.BusOpLedger`;
 - every ``cache.transition`` duration event (a miss or a write-through
-  episode) becomes a :class:`CacheSpan` whose constituent bus
-  operations are re-attributed to it, splitting its stall time into
-  ``arb_wait`` / ``transfer`` / ``other`` — the critical-path
-  attribution for cache misses;
+  episode) becomes a :class:`CacheSpan` whose stall time is split into
+  ``arb_wait`` / ``transfer`` / ``other`` by the ledger's overlap with
+  the episode — the critical-path attribution for cache misses, and
+  the same arithmetic the request tracer uses for its bus segments;
 - all latencies stream into bounded-bucket
   :class:`~repro.common.stats.Histogram` objects (p50/p95/p99, exact
   mean and max, O(buckets) memory), per span kind and per CPU.
@@ -29,19 +30,21 @@ approximation around concurrent DMA).
 >>> hub = TelemetryHub(Simulator())
 >>> tracer = SpanTracer(hub)
 >>> probe = hub.probe("bus")
->>> probe.complete("bus.op", "bus", 10, 4, op="mread", initiator=1,
+>>> probe.complete("bus.op", "bus", 10, 4, op="MRead", initiator=1,
 ...                wait=6, cache_supplied=False, victim=False)
->>> tracer.kind_stats["bus.mread"].total.count
+>>> tracer.kind_stats["bus.MRead"].total.count
 1
->>> tracer.kind_stats["bus.mread"].wait.mean
+>>> tracer.kind_stats["bus.MRead"].wait.mean
 6.0
+>>> tracer.kind_stats["bus.MRead"].supply_counts
+{'memory': 1}
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.causal.assemble import BusOpLedger, track_index
 from repro.common.stats import Histogram
 from repro.telemetry.probe import COMPLETE, TelemetryEvent, TelemetryHub
 
@@ -55,65 +58,26 @@ LATENCY_BOUNDS = (0, 1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128,
 STAGES = ("arb_wait", "transfer", "other")
 
 
-class BusSpan:
-    """One bus transaction as a latency span.
-
-    ``request`` is the enqueue instant, ``start`` the grant instant;
-    ``wait + transfer`` is exactly the initiator's end-to-end latency
-    (request to release).
-    """
-
-    __slots__ = ("kind", "initiator", "request", "start", "wait",
-                 "transfer", "supply", "victim")
-
-    def __init__(self, kind: str, initiator: int, start: int, wait: int,
-                 transfer: int, supply: str, victim: bool) -> None:
-        self.kind = kind
-        self.initiator = initiator
-        self.request = start - wait
-        self.start = start
-        self.wait = wait
-        self.transfer = transfer
-        self.supply = supply
-        self.victim = victim
-
-    @property
-    def end(self) -> int:
-        return self.start + self.transfer
-
-    @property
-    def total(self) -> int:
-        """End-to-end latency; equals ``wait + transfer`` by construction."""
-        return self.wait + self.transfer
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<BusSpan {self.kind} cpu{self.initiator} "
-                f"@{self.request} wait={self.wait}+{self.transfer}>")
-
-
 class CacheSpan:
     """One cache episode (miss or write-through) with stage attribution.
 
     ``stages`` maps :data:`STAGES` to cycles; the three entries sum
-    exactly to ``duration`` (``other`` is whatever the constituent bus
-    operations don't account for — protocol overhead between them).
+    exactly to ``duration``.  ``wait`` and ``transfer`` are the
+    episode's share of its CPU's bus ops (clipped and unioned, so they
+    never exceed ``duration``); ``other`` is the rest — protocol
+    overhead between and around the bus ops.
     """
 
-    __slots__ = ("kind", "cpu", "start", "duration", "stages", "ops",
-                 "supplies")
+    __slots__ = ("kind", "cpu", "start", "duration", "stages")
 
     def __init__(self, kind: str, cpu: int, start: int, duration: int,
-                 ops: List[BusSpan]) -> None:
+                 wait: int, transfer: int) -> None:
         self.kind = kind
         self.cpu = cpu
         self.start = start
         self.duration = duration
-        self.ops = len(ops)
-        wait = sum(op.wait for op in ops)
-        transfer = sum(op.transfer for op in ops)
         self.stages = {"arb_wait": wait, "transfer": transfer,
                        "other": duration - wait - transfer}
-        self.supplies = tuple(op.supply for op in ops)
 
     @property
     def dominant_stage(self) -> str:
@@ -163,9 +127,6 @@ class CpuSpanStats:
         self.dominant_counts = {stage: 0 for stage in STAGES}
         self.spans = 0
 
-    def record_bus(self, span: BusSpan) -> None:
-        self.bus_total.record(span.total)
-
     def record_cache(self, span: CacheSpan) -> None:
         self.spans += 1
         self.miss_total.record(span.duration)
@@ -200,19 +161,13 @@ class SpanTracer:
     (tests and deep-dives); off by default so long runs stay O(1).
     """
 
-    #: Pending unmatched bus ops retained per initiator.  Write-through
-    #: traffic produces bus ops with no enclosing cache span; the bound
-    #: keeps such traffic from accumulating.
-    MAX_PENDING = 64
-
     def __init__(self, hub: TelemetryHub, keep_spans: bool = False) -> None:
         self.hub = hub
         self.keep_spans = keep_spans
         self.kind_stats: Dict[str, SpanKindStats] = {}
         self.cpu_stats: Dict[int, CpuSpanStats] = {}
         self.cache_spans: List[CacheSpan] = []
-        self.unattributed_ops = 0
-        self._pending: Dict[int, Deque[BusSpan]] = {}
+        self._ledger = BusOpLedger()
         hub.subscribe(self._on_bus_op, prefix="bus.op")
         hub.subscribe(self._on_cache_transition, prefix="cache.transition")
 
@@ -225,45 +180,36 @@ class SpanTracer:
 
     def _on_bus_op(self, event: TelemetryEvent) -> None:
         args = dict(event.args)
+        op = str(args.get("op", "?"))
+        # A read no cache supplied came from memory (MRead, MReadEx);
+        # writes and invalidates supply nothing.
         supply = ("cache" if args.get("cache_supplied")
-                  else "memory" if str(args.get("op", "")).startswith("mread")
-                  else "none")
-        span = BusSpan(kind=f"bus.{args.get('op', '?')}",
-                       initiator=int(args.get("initiator", -1)),
-                       start=event.time, wait=int(args.get("wait", 0)),
-                       transfer=event.duration, supply=supply,
-                       victim=bool(args.get("victim", False)))
-        self._kind(span.kind).record(span.wait, span.transfer, supply)
-        self._cpu(span.initiator).record_bus(span)
-        pending = self._pending.setdefault(
-            span.initiator, deque(maxlen=self.MAX_PENDING))
-        pending.append(span)
+                  else "memory" if op.startswith("MRead") else "none")
+        initiator = int(args.get("initiator", -1))
+        wait = int(args.get("wait", 0))
+        self._kind(f"bus.{op}").record(wait, event.duration, supply)
+        self._cpu(initiator).bus_total.record(wait + event.duration)
+        self._ledger.add(initiator, event.time, event.duration, wait)
 
     def _on_cache_transition(self, event: TelemetryEvent) -> None:
         if event.phase != COMPLETE:
             return  # snoop-side instants carry no latency
-        args = dict(event.args)
-        stimulus = str(args.get("stimulus", ""))
-        cpu = self._track_cpu(event.track)
+        cpu = track_index(event.track, "cache")
         if cpu is None:
             return
         start, end = event.time, event.time + event.duration
-        ops, leftovers = [], []
-        for op in self._pending.get(cpu, ()):
-            if op.request >= start and op.end <= end:
-                ops.append(op)
-            elif op.end > end:  # belongs to something later
-                leftovers.append(op)
-        if cpu in self._pending:
-            self.unattributed_ops += (len(self._pending[cpu]) - len(ops)
-                                      - len(leftovers))
-            self._pending[cpu] = deque(leftovers, maxlen=self.MAX_PENDING)
+        wait, transfer = self._ledger.overlap(cpu, start, end)
+        # A CPU's cache episodes are sequential: no later one can
+        # overlap an op released by this one's end.
+        self._ledger.forget(cpu, end)
+        stimulus = dict(event.args).get("stimulus", "")
         span = CacheSpan(kind=f"cache.{stimulus}", cpu=cpu, start=start,
-                         duration=event.duration, ops=ops)
+                         duration=event.duration, wait=wait,
+                         transfer=transfer)
         kind = self._kind(span.kind)
         kind.total.record(span.duration)
-        kind.wait.record(span.stages["arb_wait"])
-        kind.transfer.record(span.stages["transfer"])
+        kind.wait.record(wait)
+        kind.transfer.record(transfer)
         self._cpu(cpu).record_cache(span)
         if self.keep_spans:
             self.cache_spans.append(span)
@@ -282,12 +228,6 @@ class SpanTracer:
             stats = self.cpu_stats[cpu] = CpuSpanStats(cpu)
         return stats
 
-    @staticmethod
-    def _track_cpu(track: str) -> Optional[int]:
-        if track.startswith("cache") and track[5:].isdigit():
-            return int(track[5:])
-        return None
-
     # -- reporting ------------------------------------------------------
 
     def summary(self) -> Dict:
@@ -297,7 +237,6 @@ class SpanTracer:
                       for k, s in sorted(self.kind_stats.items())},
             "cpus": {str(c): s.to_dict()
                      for c, s in sorted(self.cpu_stats.items())},
-            "unattributed_ops": self.unattributed_ops,
         }
 
     def render(self) -> str:

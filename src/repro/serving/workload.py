@@ -30,6 +30,7 @@ from typing import Any, Deque, Dict, List, Optional
 
 from collections import deque
 
+from repro.causal.assemble import REQUEST_BOUNDS
 from repro.common.errors import ConfigurationError
 from repro.common.stats import Histogram
 from repro.io.ethernet import EthernetParams, RemoteEndpoint
@@ -43,10 +44,6 @@ from repro.topaz.rpc import RpcParams, RpcTransport
 TOPOLOGY_SCHEMA = "firefly-serve-topology/1"
 
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal")
-
-LATENCY_BOUNDS = tuple(int(round(1000 * 1.5 ** i)) for i in range(36))
-"""Histogram bounds for end-to-end latencies (same geometry as the
-causal assembler's request buckets)."""
 
 
 def _require(condition: bool, path: str, message: str, value: Any) -> None:
@@ -293,7 +290,7 @@ class ClassMetrics:
         self.retries = 0
         self.hedges = 0
         self.latency = Histogram(f"serve.{cls}.latency",
-                                 bounds=LATENCY_BOUNDS)
+                                 bounds=REQUEST_BOUNDS)
 
     @property
     def shed_total(self) -> int:

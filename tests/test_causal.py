@@ -23,7 +23,7 @@ import pytest
 from repro.causal import (FlightRecorder, LOW_RATE_CATEGORIES,
                           ContextAllocator, RequestTracer, SEGMENTS,
                           trace_requests)
-from repro.causal.assemble import _union_length
+from repro.causal.assemble import BusOpLedger, _union_length
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.events import Simulator
 from repro.telemetry import TelemetryHub, chrome_trace
@@ -336,7 +336,7 @@ class TestExactSum:
 
 
 def _unbounded_bus_overlap(ops, a, b):
-    """The scan ``_bus_overlap`` replaced: every op from the oldest."""
+    """``BusOpLedger.overlap`` as a scan of every op from the oldest."""
     waits, xfers = [], []
     for (req, grant, release) in ops:
         if release <= a:
@@ -380,17 +380,41 @@ class TestBusOverlapScan:
             for _ in range(3):
                 a = gen.randint(max(0, release - 20_000), release)
                 b = a + gen.randint(0, 400)
-                assert tracer._bus_overlap(0, a, b) \
+                assert tracer._ledger.overlap(0, a, b) \
                     == _unbounded_bus_overlap(reference, a, b), (a, b)
 
     def test_real_rings_are_in_release_order(self):
         kernel = build_exerciser(4, ExerciserParams(threads=8), seed=1987)
         hub, tracer = trace_requests(kernel)
         kernel.run(warmup_cycles=10_000, measure_cycles=30_000)
-        assert tracer._bus
-        for ring in tracer._bus.values():
+        assert tracer._ledger._ops
+        for ring in tracer._ledger._ops.values():
             releases = [release for (release, _req, _grant) in ring]
             assert releases == sorted(releases)
+
+    def test_forget_leaves_every_later_overlap_unchanged(self):
+        """After ``forget(i, t)``, ``overlap(i, a, b)`` is the same for
+        every ``a >= t``: the ops it dropped were released by ``a``."""
+        import random
+
+        gen = random.Random(11)
+        kept, forgetful = BusOpLedger(), BusOpLedger()
+        request = free = upto = 0
+        for _ in range(2_000):
+            request = max(0, request + gen.randint(-15, 40))
+            grant = max(request, free) + gen.randint(0, 6)
+            release = free = grant + gen.choice((2, 2, 4))
+            for ledger in (kept, forgetful):
+                ledger.add(0, grant, release - grant, grant - request)
+            if gen.random() < 0.2:
+                upto = max(upto, gen.randint(release - 60, release))
+                forgetful.forget(0, upto)
+            for _ in range(3):
+                a = gen.randint(upto, release + 10)
+                b = a + gen.randint(0, 400)
+                assert forgetful.overlap(0, a, b) \
+                    == kept.overlap(0, a, b), (upto, a, b)
+        assert len(forgetful._ops[0]) < 100 < len(kept._ops[0])
 
 
 # ---------------------------------------------------------------------------
