@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 check: compile sweep, tracked-bytecode guard, full test suite,
-# the benchmark's own tests, then the static verification gate (protocol
-# model checker + structural checks + simulation-safety linter; see
-# docs/VERIFY.md).
+# the paper's four figures regenerated unchanged, the benchmark's own
+# tests, then the static verification gate (protocol model checker +
+# structural checks + simulation-safety linter; see docs/VERIFY.md).
 #
 # Usage: scripts/check.sh [extra pytest args]
 # e.g.:  scripts/check.sh -m telemetry
@@ -34,6 +34,14 @@ fi
 
 echo "== pytest =="
 python -m pytest -x -q "$@"
+
+echo "== paper figures regenerate unchanged (benchmarks/test_figure*) =="
+# Nothing else runs benchmarks/ (the suite above collects tests/ only).
+# The four figure benches rewrite their artifacts under
+# benchmarks/results/ from the live model, about 2 s in all; each must
+# come out byte-identical to the committed file.
+python -m pytest -q benchmarks/test_figure*_*.py
+git diff --exit-code -- 'benchmarks/results/figure_*'
 
 echo "== benchmark self-tests (fireflybench) =="
 # The benchmark's own suite (testpaths leaves it out of the run above):

@@ -10,13 +10,12 @@ physical space.
 
 from repro.bus.mbus import MBus, SnoopResult, Snooper
 from repro.bus.qbus import QBus, QBusMap
-from repro.bus.signals import SignalTrace, TimingDiagram
+from repro.bus.signals import TimingDiagram
 
 __all__ = [
     "MBus",
     "QBus",
     "QBusMap",
-    "SignalTrace",
     "Snooper",
     "SnoopResult",
     "TimingDiagram",

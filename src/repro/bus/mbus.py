@@ -31,9 +31,8 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.common.events import Simulator
-from repro.common.stats import Histogram, StatSet, Utilization
+from repro.common.stats import StatSet, Utilization
 from repro.common.types import MBUS_OP_CYCLES, BusOp, BusTransaction
-from repro.bus.signals import SignalTrace
 from repro.telemetry.probe import NULL_PROBE
 
 LineData = Tuple[int, ...]
@@ -131,24 +130,21 @@ class MBus:
     CPU stall) is cycle-exact while *state* is transaction-atomic.
     """
 
-    __slots__ = ("sim", "memory", "words_per_line", "trace", "_resource",
+    __slots__ = ("sim", "memory", "words_per_line", "_resource",
                  "_snoopers", "_snoop_peers", "_interrupt_handlers",
-                 "faults", "stats", "utilization", "grant_wait", "probe",
-                 "context_source",
+                 "faults", "stats", "utilization", "probe", "context_source",
                  "_c_ops", "_c_read_memory", "_c_read_cache",
                  "_c_write_mshared", "_c_write_not_mshared",
                  "_c_write_victim", "_c_per_op")
 
     def __init__(self, sim: Simulator, memory: Optional[MemoryPort] = None,
-                 words_per_line: int = 1,
-                 trace: Optional[SignalTrace] = None) -> None:
+                 words_per_line: int = 1) -> None:
         if words_per_line < 1:
             raise ConfigurationError(
                 f"words_per_line must be >= 1, got {words_per_line}")
         self.sim = sim
         self.memory = memory
         self.words_per_line = words_per_line
-        self.trace = trace
         self._resource = sim.resource("MBus")
         self._snoopers: List[Snooper] = []
         # Per-initiator snoop fan-out lists: (snooper, bound snoop), in
@@ -164,8 +160,6 @@ class MBus:
         self.faults = None
         self.stats = StatSet("mbus")
         self.utilization = Utilization("mbus")
-        #: Bus-grant wait distribution (arbitration queueing latency).
-        self.grant_wait = Histogram("mbus.grant_wait")
         #: Telemetry probe; inert unless a TelemetryHub is attached.
         self.probe = NULL_PROBE
         #: Optional ``initiator -> TraceContext`` callable (the Topaz
@@ -285,13 +279,12 @@ class MBus:
             requested = sim.now
             yield resource.acquire(priority=priority)
             start = sim.now
-            self.grant_wait.record(start - requested)
             faults = self.faults
             corrupted = (faults is not None
                          and faults.corrupts(op, line_address, initiator))
             if not corrupted:
                 txn = self._execute(op, line_address, initiator, data,
-                                    is_victim, start, update_memory)
+                                    is_victim, update_memory)
             yield sim.timeout(MBUS_OP_CYCLES)
             holder = resource.holder
             if holder is None:  # pragma: no cover - defensive
@@ -320,10 +313,11 @@ class MBus:
                                         attempts)
         probe = self.probe
         if probe.active:
-            # `wait` makes the event a self-contained latency span:
-            # request at start-wait, grant at start, release at
-            # start+duration — the decomposition repro.observatory
-            # rebuilds transaction spans from.
+            # The tenure's one record besides the counters.  `wait`
+            # makes it a self-contained latency span: request at
+            # start-wait, grant at start, release at start+duration —
+            # the decomposition the span tracers rebuild transaction
+            # spans from; repro.bus.signals draws Figure 4 from it.
             causal = {}
             source = self.context_source
             if source is not None:
@@ -336,14 +330,11 @@ class MBus:
                            shared=txn.shared_response,
                            cache_supplied=txn.supplied_by_cache,
                            victim=is_victim, **causal)
-            if start > requested:
-                probe.instant_at("bus.grant", "bus", start,
-                                 wait=start - requested, initiator=initiator)
         return txn
 
     def _execute(self, op: BusOp, line_address: int, initiator: int,
                  data: Optional[LineData], is_victim: bool,
-                 start: int, update_memory: bool = True) -> BusTransaction:
+                 update_memory: bool = True) -> BusTransaction:
         """Apply the transaction's state effects and gather responses."""
         if callable(data):
             data = data()
@@ -404,20 +395,12 @@ class MBus:
                 self.stats.incr("read.snarfed")
 
         self._count(op, shared, is_victim, supplied_by_cache)
-        if self.trace is not None:
-            self.trace.record(op, line_address, initiator, start, shared,
-                              supplied_by_cache)
         word = None
         if returned is not None and self.words_per_line == 1:
             word = returned[0]
         return BusTransaction(
-            op=op,
-            address=line_address,
-            initiator=initiator,
-            start_cycle=start,
             shared_response=shared,
             supplied_by_cache=supplied_by_cache,
-            is_victim=is_victim,
             data=word if word is not None else (returned if returned else None),
         )
 

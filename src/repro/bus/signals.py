@@ -1,4 +1,4 @@
-"""Per-cycle MBus signal tracing and timing-diagram rendering.
+"""MBus timing diagrams, rendered from the bus's ``bus.op`` events.
 
 The paper's Figure 4 shows the four-cycle layout of an MBus operation:
 
@@ -12,19 +12,24 @@ Cycle  Activity
        (memory inhibited) when ``MShared`` was asserted
 ====== =========================================================
 
-:class:`SignalTrace` records these events as the bus model executes
-transactions, and :class:`TimingDiagram` renders the trace as the same
-kind of waveform picture the figure shows — this is how the Figure 4
-benchmark regenerates the artifact from live hardware state rather
+Every tenure the bus model executes is recorded once, as a ``bus.op``
+telemetry event (:mod:`repro.telemetry.catalog`): its time is the
+grant, and its args name the operation, address, initiator and the
+``MShared`` / cache-supply responses.  :func:`signal_events` expands
+one such event into the per-cycle signals above, and
+:class:`TimingDiagram` renders a run of them as the same kind of
+waveform picture the figure shows — this is how the Figure 4 benchmark
+regenerates the artifact from the live bus model's own record rather
 than from a hard-coded drawing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.types import BusOp
+from repro.telemetry.probe import TelemetryEvent
 
 
 @dataclass(frozen=True)
@@ -36,72 +41,34 @@ class SignalEvent:
     detail: str = ""
 
 
-@dataclass
-class TransactionTrace:
-    """The per-cycle decomposition of one bus transaction."""
-
-    op: BusOp
-    address: int
-    initiator: int
-    start_cycle: int
-    shared_response: bool
-    supplied_by_cache: bool
-    events: List[SignalEvent] = field(default_factory=list)
-
-    @property
-    def end_cycle(self) -> int:
-        return self.start_cycle + 4
-
-
-class SignalTrace:
-    """Collects :class:`TransactionTrace` records from the bus model.
-
-    Tracing is off by default (it allocates per transaction); the
-    Figure 4 bench and the bus unit tests enable it.
-    """
-
-    def __init__(self, limit: Optional[int] = None) -> None:
-        self.transactions: List[TransactionTrace] = []
-        self.limit = limit
-
-    @property
-    def full(self) -> bool:
-        return self.limit is not None and len(self.transactions) >= self.limit
-
-    def record(self, op: BusOp, address: int, initiator: int, start_cycle: int,
-               shared_response: bool, supplied_by_cache: bool) -> None:
-        """Record one transaction, expanding it into per-cycle events."""
-        if self.full:
-            return
-        trace = TransactionTrace(
-            op=op,
-            address=address,
-            initiator=initiator,
-            start_cycle=start_cycle,
-            shared_response=shared_response,
-            supplied_by_cache=supplied_by_cache,
-        )
-        events = trace.events
-        events.append(SignalEvent(start_cycle, "Arbitrate",
-                                  f"requester {initiator} wins"))
-        events.append(SignalEvent(start_cycle, "Address",
-                                  f"{op.value} {address:#x}"))
-        if op.carries_write_data:
-            events.append(SignalEvent(start_cycle + 1, "WriteData", "initiator drives"))
-        events.append(SignalEvent(start_cycle + 1, "TagProbe", "snoopers probe tags"))
-        if shared_response:
-            events.append(SignalEvent(start_cycle + 2, "MShared", "asserted by sharer(s)"))
-        if op.returns_data:
-            source = "cache(s); memory inhibited" if supplied_by_cache else "memory"
-            events.append(SignalEvent(start_cycle + 3, "ReadData", source))
-        self.transactions.append(trace)
+def signal_events(op_event: TelemetryEvent) -> List[SignalEvent]:
+    """The per-cycle signals of the tenure one ``bus.op`` event records."""
+    args = dict(op_event.args)
+    op = BusOp(args["op"])
+    start = op_event.time
+    events = [SignalEvent(start, "Arbitrate",
+                          f"requester {args['initiator']} wins"),
+              SignalEvent(start, "Address", f"{op.value} {args['address']:#x}")]
+    if op.carries_write_data:
+        events.append(SignalEvent(start + 1, "WriteData", "initiator drives"))
+    events.append(SignalEvent(start + 1, "TagProbe", "snoopers probe tags"))
+    if args["shared"]:
+        events.append(SignalEvent(start + 2, "MShared", "asserted by sharer(s)"))
+    if op.returns_data:
+        source = ("cache(s); memory inhibited" if args["cache_supplied"]
+                  else "memory")
+        events.append(SignalEvent(start + 3, "ReadData", source))
+    return events
 
 
 class TimingDiagram:
-    """Renders a :class:`SignalTrace` as an ASCII waveform.
+    """Renders ``bus.op`` events as an ASCII waveform.
 
-    One column per bus cycle, one row per signal, matching Figure 4's
-    presentation.  Example output for an MRead answered by a sharer::
+    ``events`` are ``bus.op`` events in emission order, e.g.
+    ``hub.events_named("bus.op")`` from a buffering hub on the bus
+    probe.  One column per bus cycle, one row per signal, matching
+    Figure 4's presentation.  Example output for an MRead answered by
+    a sharer::
 
         cycle       |  0 |  1 |  2 |  3 |
         Arbitrate   | ## |    |    |    |
@@ -115,23 +82,23 @@ class TimingDiagram:
     SIGNAL_ORDER = ["Arbitrate", "Address", "WriteData", "TagProbe",
                     "MShared", "ReadData"]
 
-    def __init__(self, trace: SignalTrace) -> None:
-        self.trace = trace
+    def __init__(self, events: Sequence[TelemetryEvent]) -> None:
+        self.events = list(events)
 
     def render(self, first: int = 0, count: Optional[int] = None) -> str:
-        """Render transactions ``[first, first+count)`` as one diagram."""
-        txns = self.trace.transactions[first:]
+        """Render operations ``[first, first+count)`` as one diagram."""
+        ops = self.events[first:]
         if count is not None:
-            txns = txns[:count]
-        if not txns:
+            ops = ops[:count]
+        if not ops:
             return "(no transactions traced)"
-        start = txns[0].start_cycle
-        end = max(t.end_cycle for t in txns)
+        start = ops[0].time
+        end = max(op.time + op.duration for op in ops)
         width = end - start
         active: Dict[str, set] = {sig: set() for sig in self.SIGNAL_ORDER}
-        for txn in txns:
-            for event in txn.events:
-                active.setdefault(event.signal, set()).add(event.cycle - start)
+        for op in ops:
+            for event in signal_events(op):
+                active[event.signal].add(event.cycle - start)
         label_w = max(len(s) for s in self.SIGNAL_ORDER) + 2
         lines = []
         header = "cycle".ljust(label_w) + "|" + "|".join(
@@ -141,8 +108,10 @@ class TimingDiagram:
             cells = "|".join(" ## " if c in active[signal] else "    "
                              for c in range(width))
             lines.append(signal.ljust(label_w) + "|" + cells + "|")
-        ops = ", ".join(
-            f"{t.op.value}@{t.start_cycle}"
-            f"{' (MShared)' if t.shared_response else ''}" for t in txns)
-        lines.append(f"operations: {ops}")
+        summary = []
+        for op in ops:
+            args = dict(op.args)
+            shared = " (MShared)" if args["shared"] else ""
+            summary.append(f"{args['op']}@{op.time}{shared}")
+        lines.append(f"operations: {', '.join(summary)}")
         return "\n".join(lines)

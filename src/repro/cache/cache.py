@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 from repro.bus.mbus import MBus, SnoopResult
 from repro.cache.line import CacheLine, LineState
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.stats import Histogram, StatSet
+from repro.common.stats import StatSet
 from repro.common.types import AccessKind, BusOp, MemRef
 from repro.telemetry.probe import NULL_PROBE
 
@@ -97,7 +97,7 @@ class SnoopyCache:
     """
 
     __slots__ = ("mbus", "_sim", "protocol", "snooper_id", "priority",
-                 "geometry", "lines", "stats", "miss_latency", "probe",
+                 "geometry", "lines", "stats", "probe",
                  "_track", "tag_busy_until", "on_snooped_write",
                  "_wpl_shift", "_off_mask", "_idx_mask", "_tag_shift",
                  "_silent_states", "_silent_result", "_read_hit_is_base",
@@ -121,9 +121,6 @@ class SnoopyCache:
         self.lines = [CacheLine(geometry.words_per_line)
                       for _ in range(geometry.lines)]
         self.stats = StatSet(f"cache{cache_id}")
-        #: Miss service time distribution (cycles from miss detection to
-        #: the protocol's fill/write completing on the bus).
-        self.miss_latency = Histogram(f"cache{cache_id}.miss_latency")
         #: Telemetry probe; inert unless a TelemetryHub is attached.
         self.probe = NULL_PROBE
         self._track = f"cache{cache_id}"
@@ -274,12 +271,11 @@ class SnoopyCache:
         (self._c_ifetch_miss if ifetch else self._c_dread_miss).add()
         start = self.mbus.sim.now
         value = yield from self.protocol.read_miss(self, line, index, tag, offset)
-        elapsed = self.mbus.sim.now - start
-        self.miss_latency.record(elapsed)
         if self.probe.active:
             # Figure 3 FSM event: a miss is the P-arc out of INVALID.
             self.probe.complete(
-                "cache.transition", self._track, start, elapsed,
+                "cache.transition", self._track, start,
+                self.mbus.sim.now - start,
                 stimulus="Pifetch.miss" if ifetch else "Pdread.miss",
                 before=LineState.INVALID.name,
                 after=line.state.name,
@@ -315,11 +311,10 @@ class SnoopyCache:
             start = self.mbus.sim.now
             yield from self.protocol.write_miss(
                 self, line, index, tag, offset, value, ref.partial)
-            elapsed = self.mbus.sim.now - start
-            self.miss_latency.record(elapsed)
             if probe.active:
                 probe.complete(
-                    "cache.transition", self._track, start, elapsed,
+                    "cache.transition", self._track, start,
+                    self.mbus.sim.now - start,
                     stimulus="Pwrite.miss", before=LineState.INVALID.name,
                     after=line.state.name,
                     address=self.geometry.line_address(ref.address))

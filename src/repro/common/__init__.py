@@ -14,7 +14,7 @@ from repro.common.errors import (
 )
 from repro.common.events import Event, Process, Resource, Simulator
 from repro.common.rng import FractionalAccumulator, RandomStream, StreamFactory
-from repro.common.stats import Counter, RateMeter, StatSet, Utilization
+from repro.common.stats import Counter, StatSet, Utilization
 
 __all__ = [
     "ConfigurationError",
@@ -24,7 +24,6 @@ __all__ = [
     "FractionalAccumulator",
     "Process",
     "RandomStream",
-    "RateMeter",
     "ReproError",
     "Resource",
     "SimulationError",

@@ -49,42 +49,6 @@ class Counter:
         return f"Counter({self.name}={self._total})"
 
 
-class RateMeter:
-    """Converts a (counter, time-window) pair into a rate.
-
-    Time is in simulator units; callers supply the unit duration in
-    seconds to get physical rates (e.g. 100 ns MBus cycles).
-    """
-
-    __slots__ = ("counter", "_start_time")
-
-    def __init__(self, counter: Counter, start_time: int = 0) -> None:
-        self.counter = counter
-        self._start_time = start_time
-
-    def mark(self, now: int) -> None:
-        """Open a measurement window at time ``now``."""
-        self.counter.mark()
-        self._start_time = now
-
-    def rate(self, now: int, unit_seconds: float) -> float:
-        """Events per second over the open window ending at ``now``.
-
-        Raises :class:`ConfigurationError` if ``now`` precedes the
-        window start — that means the window was opened in the caller's
-        future (or never opened properly), and a silent 0.0 would turn
-        a measurement bug into a plausible-looking rate.
-        """
-        elapsed = now - self._start_time
-        if elapsed < 0:
-            raise ConfigurationError(
-                f"rate({self.counter.name}) queried at {now}, before the "
-                f"window opened at {self._start_time}")
-        if elapsed == 0:
-            return 0.0
-        return self.counter.windowed / (elapsed * unit_seconds)
-
-
 class Utilization:
     """Tracks the busy fraction of a resource (e.g. MBus load L).
 
@@ -139,8 +103,11 @@ class Histogram:
     Buckets are defined by inclusive upper ``bounds`` plus an implicit
     overflow bucket, so memory stays O(len(bounds)) no matter how many
     values are recorded — the shape hardware latency counters have.
-    Used for distributions the mean hides: bus-grant wait (arbitration
-    fairness) and miss service time.
+    Used for distributions the mean hides: span stages (arbitration
+    wait, transfer) in :mod:`repro.observatory.spans` and request
+    turnarounds in :mod:`repro.causal.assemble`, both built from
+    telemetry on demand, and per-class request latency in
+    :mod:`repro.serving.workload`.
 
     >>> h = Histogram("wait", bounds=(0, 2, 4, 8))
     >>> for v in (0, 0, 1, 3, 9):

@@ -20,7 +20,6 @@ Timing constants (from the paper)
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 # --- timing constants -------------------------------------------------
 
@@ -139,53 +138,33 @@ class MemRef:
 
 
 class BusTransaction:
-    """A completed MBus transaction, as observed on the wires.
+    """What the initiator of a completed MBus transaction reads back.
 
-    Attributes mirror what the hardware's measurement counter could
-    see: the operation, the address, whether any snooper asserted
-    ``MShared`` during cycle 3, whether a cache (rather than memory)
-    supplied read data, and whether the write was a victim write-back.
+    ``shared_response`` says whether any snooper asserted ``MShared``
+    during cycle 3 (the initiator's protocol sets its Shared tag from
+    it), ``supplied_by_cache`` whether a cache rather than memory drove
+    the read data, and ``data`` is that data: the word for single-word
+    lines, the line tuple otherwise, ``None`` for operations that
+    return none.  Everything else about the tenure — operation,
+    address, initiator, grant time, wait — is recorded once, in its
+    ``bus.op`` telemetry event.
 
     Treat instances as immutable; slotted plain class for the same
     per-transaction allocation-cost reason as :class:`MemRef`.
     """
 
-    __slots__ = ("op", "address", "initiator", "start_cycle",
-                 "shared_response", "supplied_by_cache", "is_victim", "data")
+    __slots__ = ("shared_response", "supplied_by_cache", "data")
 
-    def __init__(self, op: BusOp, address: int, initiator: int,
-                 start_cycle: int, shared_response: bool,
-                 supplied_by_cache: bool, is_victim: bool = False,
-                 data: Optional[int] = None) -> None:
-        self.op = op
-        self.address = address
-        self.initiator = initiator
-        self.start_cycle = start_cycle
+    def __init__(self, shared_response: bool, supplied_by_cache: bool,
+                 data=None) -> None:
         self.shared_response = shared_response
         self.supplied_by_cache = supplied_by_cache
-        self.is_victim = is_victim
         self.data = data
 
-    def _key(self):
-        return (self.op, self.address, self.initiator, self.start_cycle,
-                self.shared_response, self.supplied_by_cache,
-                self.is_victim, self.data)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is BusTransaction:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        return (f"BusTransaction(op={self.op!r}, address={self.address!r}, "
-                f"initiator={self.initiator!r}, "
-                f"start_cycle={self.start_cycle!r}, "
-                f"shared_response={self.shared_response!r}, "
+        return (f"BusTransaction(shared_response={self.shared_response!r}, "
                 f"supplied_by_cache={self.supplied_by_cache!r}, "
-                f"is_victim={self.is_victim!r}, data={self.data!r})")
+                f"data={self.data!r})")
 
 
 def align_to_line(address: int, words_per_line: int) -> int:

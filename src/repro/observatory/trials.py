@@ -227,12 +227,11 @@ def _run_vector(trial: TrialSpec) -> Dict:
 
     params = trial.params
     result = run_vectorized(params["processors"], params["instructions"],
-                            trial.seed, backend=params.get("backend"))
+                            trial.seed)
     metrics = result.metrics()
-    # The backend is a host property (numpy present or not), and the
-    # counts are backend-identical by construction; drop it so reports
-    # and golden digests stay host-independent.
-    metrics.pop("backend", None)
+    # The backend names the draw path, not a statistic; campaign
+    # reports and their golden digests have never carried it.
+    metrics.pop("backend")
     return {"seed": trial.seed, "cycles": result.ticks, "metrics": metrics}
 
 
@@ -291,11 +290,6 @@ def _serve_scenarios():
     return engine.SERVE_SCENARIOS
 
 
-def _vector_backends():
-    from repro.trace.vectorized import BACKENDS
-    return BACKENDS
-
-
 def _scenario_kind(name: str, scenarios, run, extract) -> TrialKind:
     """bench, chaos and serve: one pinned scenario per trial."""
     return TrialKind(
@@ -325,8 +319,7 @@ TRIAL_KINDS: Dict[str, TrialKind] = {kind.name: kind for kind in (
     TrialKind(
         "vector",
         keys={"processors": Key([2, 4, 6], _each(_integer(1))),
-              "instructions": Key(100_000, _integer(1)),
-              "backend": Key(_UNSET, _one_of(_vector_backends))},
+              "instructions": Key(100_000, _integer(1))},
         axes=(("processors", "processors"),),
         label="vector/np{processors}/i{instructions}/s{seed}",
         run=_run_vector),

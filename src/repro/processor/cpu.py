@@ -39,7 +39,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.events import Event, Simulator
 from repro.common.rng import FractionalAccumulator, RandomStream
 from repro.common.stats import StatSet
-from repro.common.types import SECONDS_PER_CYCLE, AccessKind, MemRef
+from repro.common.types import AccessKind, MemRef
 from repro.processor.onchip import OnChipICache
 from repro.processor.timing import ProcessorTiming
 
@@ -384,9 +384,6 @@ class Processor:
         self.stats.mark_all()
         self._window_start = self.sim.now
 
-    def window_seconds(self) -> float:
-        return (self.sim.now - self._window_start) * SECONDS_PER_CYCLE
-
     def measured_tpi(self) -> float:
         """Realised ticks per instruction over the open window."""
         instructions = self.stats["instructions"].windowed
@@ -395,31 +392,6 @@ class Processor:
         busy = (self.sim.now - self._window_start
                 - self.stats["idle_cycles"].windowed)
         return busy / self.timing.tick_cycles / instructions
-
-    def reference_rate(self) -> float:
-        """References per second over the open window."""
-        seconds = self.window_seconds()
-        if seconds <= 0:
-            return 0.0
-        refs = (self.stats["refs.ifetch"].windowed
-                + self.stats["refs.dread"].windowed
-                + self.stats["refs.dwrite"].windowed)
-        return refs / seconds
-
-    def read_rate(self) -> float:
-        """Reads (instruction + data) per second over the open window."""
-        seconds = self.window_seconds()
-        if seconds <= 0:
-            return 0.0
-        return (self.stats["refs.ifetch"].windowed
-                + self.stats["refs.dread"].windowed) / seconds
-
-    def write_rate(self) -> float:
-        """Writes per second over the open window."""
-        seconds = self.window_seconds()
-        if seconds <= 0:
-            return 0.0
-        return self.stats["refs.dwrite"].windowed / seconds
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Processor {self.cpu_id} {self.timing.name}>"

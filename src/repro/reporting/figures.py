@@ -10,7 +10,8 @@
   itself.
 
 (Figure 4, MBus timing, is rendered by
-:class:`repro.bus.signals.TimingDiagram` from a live signal trace.)
+:class:`repro.bus.signals.TimingDiagram` from the live bus model's
+``bus.op`` telemetry events, one per tenure.)
 """
 
 from __future__ import annotations

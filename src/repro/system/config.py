@@ -67,7 +67,6 @@ class FireflyConfig:
     shared_region_words: int = 512
     seed: int = 1987
     io_enabled: bool = False
-    trace_bus: bool = False
 
     MAX_PROCESSORS = 16
 

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.bus.mbus import MBus
 from repro.bus.qbus import QBus
-from repro.bus.signals import SignalTrace
 from repro.cache.cache import SnoopyCache
 from repro.cache.protocols import protocol_by_name
 from repro.common.errors import ConfigurationError
@@ -65,10 +64,8 @@ class FireflyMachine:
         geometry = config.effective_cache
 
         self.memory = self._build_memory()
-        self.trace = SignalTrace() if config.trace_bus else None
         self.mbus = MBus(self.sim, self.memory,
-                         words_per_line=geometry.words_per_line,
-                         trace=self.trace)
+                         words_per_line=geometry.words_per_line)
         self.protocol = protocol_by_name(config.protocol)
 
         self.shared_region = self._place_shared_region()

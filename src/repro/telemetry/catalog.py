@@ -65,8 +65,6 @@ CATALOGUE: Tuple[EventSpec, ...] = (
           "op address initiator wait shared cache_supplied victim",
           "trace span", "`MBus.transaction`; `trace`/`span` when the "
           "initiating CPU runs a traced thread"),
-    _spec("bus.grant", "bus", _I, "bus", "wait initiator", "",
-          "MBus, only when arbitration made the initiator wait"),
     _spec("bus.ipi", "bus", _I, "bus", "target sender", "",
           "`MBus.send_interrupt`"),
     _spec("fault.bus_parity", "bus", _I, "bus",

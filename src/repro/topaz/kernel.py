@@ -813,7 +813,3 @@ class TopazKernel:
     @property
     def total_migrations(self) -> int:
         return sum(t.migrations for t in self.threads)
-
-    @property
-    def live_threads(self) -> int:
-        return sum(1 for t in self.threads if not t.done)

@@ -136,14 +136,6 @@ class RpcTransport:
                                 trace=ctx.trace_id, span=ctx.span_id,
                                 parent_span=ctx.parent_id, cls=cls)
 
-    def client_program(self, calls: int):
-        """A thread body performing ``calls`` back-to-back calls."""
-        def body():
-            for _ in range(calls):
-                yield from self.call()
-            return calls
-        return body
-
     # -- inter-address-space calls -------------------------------------------
 
     def local_call(self, argument_words: int = 16):

@@ -20,8 +20,7 @@ from repro.trace.recorder import RecordingSource
 from repro.trace.replay import TraceSource, load_trace, save_trace
 from repro.trace.stats import TraceReduction, reduce_trace, working_set_curve
 from repro.trace.vectorized import (VectorizedResult, divergence_check,
-                                    numpy_available, params_from_reduction,
-                                    run_vectorized)
+                                    params_from_reduction, run_vectorized)
 
 __all__ = [
     "RecordingSource",
@@ -33,7 +32,6 @@ __all__ = [
     "divergence_check",
     "encode_record",
     "load_trace",
-    "numpy_available",
     "params_from_reduction",
     "reduce_trace",
     "run_vectorized",

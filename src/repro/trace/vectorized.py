@@ -15,13 +15,13 @@ open queueing model (:mod:`repro.analytic.queueing`):
    totals the :class:`~repro.common.rng.FractionalAccumulator` error
    diffusion produces, and every reference makes one uniform draw per
    stochastic decision — miss?, victim dirty?, write shared? — and
-   only the count below each probability is kept.  The numpy backend
-   draws and counts them in numpy's Mersenne Twister
+   only the count below each probability is kept.  The draws are made
+   and counted in numpy's Mersenne Twister
    (:meth:`~repro.common.rng.RandomStream.count_below`, loaded from
-   and written back to the stream); the pure-Python backend, the
-   reference, draws them with ``random_block``.  Both consume *the
-   same draws in the same order* and reduce them to *integer counts*,
-   so their results are bit-identical.
+   and written back to the stream), so they are *the same draws in the
+   same order* the stream's own ``random_block`` would make, reduced
+   to *integer counts*; ``tests/test_vectorized.py`` keeps the
+   pure-Python count as the oracle they must equal bit for bit.
 
 2. **Closed-form bus service.**  Bus occupancy is accumulated in
    closed form — ``bus_op_ticks * (misses + dirty victims + shared
@@ -45,34 +45,21 @@ to match byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DEFAULT_CHUNK, RandomStream
-
-try:  # the numpy backend draws in numpy; the python backend needs none
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
-#: The two draw backends (identical results, different speeds).
-BACKENDS = ("numpy", "python")
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be selected."""
-    return _np is not None
 
 
 @dataclass(frozen=True)
 class VectorizedResult:
     """One vectorized statistical run, reduced to the §5.2 quantities.
 
-    The count fields are exact integers (identical across backends);
-    the model fields are the analytic evaluation at the *empirical*
-    rates — directly comparable to a coroutine run's measured
-    ``bus_load`` / ``mean_tpi`` / RP within the divergence bands.
+    The count fields are exact integers; the model fields are the
+    analytic evaluation at the *empirical* rates — directly comparable
+    to a coroutine run's measured ``bus_load`` / ``mean_tpi`` / RP
+    within the divergence bands.
     """
 
     processors: int
@@ -91,8 +78,11 @@ class VectorizedResult:
     relative_performance: float
     total_performance: float
     ticks: int                  # simulated ticks covered per CPU
-    backend: str
     seed: int
+
+    #: The one draw path (numpy's Mersenne Twister); reports keep the
+    #: ``backend`` key they have always carried.
+    backend: ClassVar[str] = "numpy"
 
     def metrics(self) -> Dict:
         """Flat JSON-safe dict, shaped like a bench scenario's metrics."""
@@ -114,35 +104,6 @@ class VectorizedResult:
         }
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        return "numpy" if _np is not None else "python"
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown vectorized backend {backend!r}; known: "
-            f"{', '.join(BACKENDS)}")
-    if backend == "numpy" and _np is None:
-        raise ConfigurationError(
-            "numpy backend requested but numpy is not importable; "
-            "use backend='python'")
-    return backend
-
-
-def _count_below_reference(stream: RandomStream, draws: int, p: float,
-                           chunk: int) -> int:
-    """The pure-Python backend's count: ``random_block`` draws, ``<``.
-
-    :meth:`RandomStream.count_below` (the numpy backend) must equal it
-    for every stream, count and probability.
-    """
-    count = 0
-    while draws > 0:
-        block = stream.random_block(min(chunk, draws))
-        draws -= len(block)
-        count += sum(1 for draw in block if draw < p)
-    return count
-
-
 def params_from_reduction(reduction,
                           base: Optional[AnalyticParameters] = None
                           ) -> AnalyticParameters:
@@ -161,8 +122,7 @@ def params_from_reduction(reduction,
 
 def run_vectorized(processors: int, instructions: int, seed: int,
                    params: Optional[AnalyticParameters] = None,
-                   chunk: int = DEFAULT_CHUNK,
-                   backend: Optional[str] = None) -> VectorizedResult:
+                   chunk: int = DEFAULT_CHUNK) -> VectorizedResult:
     """Run the statistical mode: batched draws -> §5.2 model outputs.
 
     ``instructions`` is the per-CPU instruction budget.  Each CPU's
@@ -178,9 +138,6 @@ def run_vectorized(processors: int, instructions: int, seed: int,
             f"instruction budget must be >= 1, got {instructions}")
     if chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-    backend = _resolve_backend(backend)
-    count_below = (RandomStream.count_below if backend == "numpy"
-                   else _count_below_reference)
     params = params or AnalyticParameters()
     mix = params.mix
 
@@ -197,13 +154,14 @@ def run_vectorized(processors: int, instructions: int, seed: int,
         stream = RandomStream(seed, f"cpu{cpu}.vector")
         # Draw order is part of the contract: miss draws for every
         # reference, then one dirty draw per miss, then one shared draw
-        # per data write — fixed counts, so both backends stay aligned.
-        cpu_misses = count_below(stream, refs_per_cpu, params.miss_rate,
-                                 chunk)
-        cpu_dirty = count_below(stream, cpu_misses, params.dirty_fraction,
-                                chunk)
-        cpu_shared = count_below(stream, dwrites,
-                                 params.shared_write_fraction, chunk)
+        # per data write — fixed counts, so the draws stay aligned with
+        # the stream's own ``random_block`` sequence.
+        cpu_misses = stream.count_below(refs_per_cpu, params.miss_rate,
+                                        chunk)
+        cpu_dirty = stream.count_below(cpu_misses, params.dirty_fraction,
+                                       chunk)
+        cpu_shared = stream.count_below(dwrites,
+                                        params.shared_write_fraction, chunk)
         references += refs_per_cpu
         misses += cpu_misses
         dirty_victims += cpu_dirty
@@ -246,7 +204,6 @@ def run_vectorized(processors: int, instructions: int, seed: int,
         relative_performance=rp,
         total_performance=processors * rp,
         ticks=int(instructions * tpi),
-        backend=backend,
         seed=seed)
 
 

@@ -193,6 +193,9 @@ class TestSpecValidation:
         # A spec still carrying the old engine axis fails loudly.
         ({"kind": "bench", "engine": "heap"},
          r"unknown key\(s\) for kind 'bench': engine"),
+        # ... and so does one still choosing a vectorized draw backend.
+        ({"kind": "vector", "backend": "python"},
+         r"unknown key\(s\) for kind 'vector': backend"),
     ])
     def test_bad_groups(self, group, fragment):
         with pytest.raises(ConfigurationError, match=fragment):

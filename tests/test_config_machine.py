@@ -91,12 +91,6 @@ class TestMachineAssembly:
         machine = FireflyMachine(config)
         assert machine.caches[0].geometry.lines == 1024
 
-    def test_trace_bus_option(self):
-        machine = FireflyMachine(FireflyConfig(trace_bus=True, processors=1))
-        machine.run(warmup_cycles=0, measure_cycles=2000)
-        assert machine.trace is not None
-        assert len(machine.trace.transactions) > 0
-
 
 class TestRunAndMetrics:
     def test_run_returns_metrics(self):

@@ -3,19 +3,18 @@
 import pytest
 
 from repro.bus.mbus import MBus, SnoopResult
-from repro.bus.signals import SignalTrace
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import Simulator
 from repro.common.types import MBUS_OP_CYCLES, BusOp
 from repro.memory.main_memory import MainMemory, MemoryModule
+from repro.telemetry import TelemetryHub
 
 
-def _bus(trace=None, words_per_line=1):
+def _bus(words_per_line=1):
     sim = Simulator()
     memory = MainMemory([MemoryModule(0, 1 << 16, is_master=True)],
                         words_per_line=words_per_line)
-    return sim, memory, MBus(sim, memory, words_per_line=words_per_line,
-                             trace=trace)
+    return sim, memory, MBus(sim, memory, words_per_line=words_per_line)
 
 
 class FakeSnooper:
@@ -191,9 +190,10 @@ class TestArbitration:
         times = []
 
         def user(priority):
-            txn = yield from bus.transaction(priority, BusOp.MREAD, 0,
-                                             initiator=priority)
-            times.append((priority, txn.start_cycle))
+            yield from bus.transaction(priority, BusOp.MREAD, 0,
+                                       initiator=priority)
+            # The initiator resumes at release, one tenure after grant.
+            times.append((priority, sim.now - MBUS_OP_CYCLES))
 
         sim.process(user(0))
         sim.process(user(1))
@@ -306,27 +306,17 @@ class TestInterrupts:
         assert bus.stats["ipi"].total == 0  # not counted as delivered
 
 
-class TestSignalTracing:
-    def test_trace_records_transactions(self):
-        trace = SignalTrace()
-        sim, _, bus = _bus(trace=trace)
+class TestBusOpEvent:
+    def test_bus_op_carries_op_and_address(self):
+        sim, _, bus = _bus()
+        hub = TelemetryHub(sim)
+        bus.probe = hub.probe("bus")
 
         def gen():
             yield from bus.transaction(0, BusOp.MREAD, 12, initiator=0)
 
         run(sim, gen())
-        assert len(trace.transactions) == 1
-        txn = trace.transactions[0]
-        assert txn.op is BusOp.MREAD and txn.address == 12
-
-    def test_trace_limit(self):
-        trace = SignalTrace(limit=1)
-        sim, _, bus = _bus(trace=trace)
-
-        def gen():
-            yield from bus.transaction(0, BusOp.MREAD, 0, initiator=0)
-            yield from bus.transaction(0, BusOp.MREAD, 4, initiator=0)
-
-        run(sim, gen())
-        assert len(trace.transactions) == 1
-        assert trace.full
+        (event,) = hub.events_named("bus.op")
+        args = dict(event.args)
+        assert args["op"] == BusOp.MREAD.value and args["address"] == 12
+        assert (event.time, event.duration) == (0, MBUS_OP_CYCLES)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Counter, RateMeter, StatSet, Utilization, ratio
+from repro.common.stats import Counter, StatSet, Utilization, ratio
 
 
 class TestCounter:
@@ -28,21 +28,6 @@ class TestCounter:
         c.add(5)
         c.mark()
         assert c.windowed == 0
-
-
-class TestRateMeter:
-    def test_rate_over_window(self):
-        c = Counter("refs")
-        meter = RateMeter(c)
-        c.add(100)
-        meter.mark(now=0)
-        c.add(500)
-        # 500 events over 1000 units of 1 ms each = 500 Hz.
-        assert meter.rate(now=1000, unit_seconds=1e-3) == pytest.approx(500.0)
-
-    def test_zero_window_rate_is_zero(self):
-        meter = RateMeter(Counter("x"))
-        assert meter.rate(now=0, unit_seconds=1.0) == 0.0
 
 
 class TestUtilization:

@@ -7,7 +7,9 @@ Covers the four contract points of docs/TELEMETRY.md:
 - the Chrome-trace exporter's golden output for the scripted Figure 4
   two-cache sharing scenario;
 - the sampler's bus-load trajectory agrees with the windowed
-  ``Utilization.load`` ground truth (property test).
+  ``Utilization.load`` ground truth (property test);
+- ``bus.op``, the bus's one per-tenure record, adds up to the MBus
+  counters: operations, busy cycles and arbitration wait.
 """
 
 from __future__ import annotations
@@ -299,3 +301,74 @@ class TestAttachment:
         assert all(c.probe.active for c in machine.caches)
         machine.run(warmup_cycles=0, measure_cycles=5_000)
         assert {"bus", "machine"} <= set(hub.tracks())
+
+
+# -- bus.op accounts for the bus ----------------------------------------
+
+
+def _synthetic_machine():
+    from repro.system import FireflyConfig, FireflyMachine
+    return FireflyMachine(FireflyConfig(processors=4, seed=1987))
+
+
+def _exerciser_machine():
+    from repro.workloads.threads_exerciser import build_exerciser
+    return build_exerciser(5, seed=1987).machine
+
+
+def bus_ops_to_idle(machine, horizon):
+    """The ``bus.op`` events of ``machine`` run to ``horizon`` and then
+    one cycle at a time until the bus is idle.
+
+    The step-off matters: the counters count a tenure at its grant,
+    while its ``bus.op`` is emitted at its release.
+    """
+    hub = TelemetryHub(machine.sim, max_events=0)
+    attach_machine(hub, machine)
+    ops = []
+    hub.subscribe(ops.append, prefix="bus.op")
+    machine.start()
+    sim = machine.sim
+    sim.run_until(horizon)
+    while machine.mbus.busy:
+        sim.run_until(sim.now + 1)
+    return ops
+
+
+def assert_one_record_per_tenure(ops, mbus):
+    assert len(ops) == mbus.stats["ops"].total > 0
+    for earlier, later in zip(ops, ops[1:]):
+        assert later.time >= earlier.time + earlier.duration
+
+
+class TestBusOpAccounting:
+    """``bus.op`` is the bus's one per-tenure record: on a streaming hub
+    its events add up to the counters Table 2 reads."""
+
+    @pytest.mark.parametrize("build", [_synthetic_machine,
+                                       _exerciser_machine],
+                             ids=["synthetic-4cpu", "exerciser-5cpu"])
+    def test_events_account_for_the_counters(self, build):
+        machine = build()
+        ops = bus_ops_to_idle(machine, 30_000)
+        mbus = machine.mbus
+        assert_one_record_per_tenure(ops, mbus)
+        assert sum(e.duration for e in ops) == mbus.utilization.busy_total
+        assert (sum(dict(e.args)["wait"] for e in ops)
+                == mbus.queue_wait_cycles)
+
+    def test_parity_voided_tenures_make_up_the_rest(self):
+        """fireflybench's audit identity: each busy cycle belongs to a
+        ``bus.op`` or to a tenure that parity voided."""
+        from repro.faults.models import BusFaultModel
+
+        machine = _synthetic_machine()
+        machine.mbus.faults = BusFaultModel()
+        machine.mbus.faults.arm_corruption(burst=3)
+        ops = bus_ops_to_idle(machine, 30_000)
+        mbus = machine.mbus
+        errors = mbus.stats["parity.errors"].total
+        assert errors == 3
+        assert_one_record_per_tenure(ops, mbus)
+        assert (sum(e.duration for e in ops) + MBUS_OP_CYCLES * errors
+                == mbus.utilization.busy_total)

@@ -66,7 +66,7 @@ class TestCatalogue:
     def test_declares_exactly_the_emitted_names(self):
         emitted = {_emitted_event_name(call) for _, call in _emit_sites()}
         assert emitted == set(EVENTS)
-        assert len(CATALOGUE) == len(EVENTS) == 31
+        assert len(CATALOGUE) == len(EVENTS) == 30
         assert EVENTS["rpc.call"].categories == ("rpc", "serving")
 
     def test_emit_sites_match_their_entries(self):

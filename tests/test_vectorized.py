@@ -2,9 +2,9 @@
 
 Three contracts from docs/PERFORMANCE.md:
 
-- the numpy and pure-Python backends consume the same draws and
-  produce bit-identical results (the reduction is over integer
-  counts, never backend-dependent float sums);
+- the numpy draw path consumes the same draws as the pure-Python
+  reference count kept here as the oracle, and produces bit-identical
+  results (the reduction is over integer counts, never float sums);
 - the mode's (M, D, S) statistics and derived load/TPI/RP agree with
   the coroutine simulator within the DivergenceMonitor's noise bands
   (the paper's own slide-rule accuracy standard, never byte equality);
@@ -20,34 +20,51 @@ import pytest
 
 from repro.analytic.queueing import AnalyticParameters
 from repro.common.errors import ConfigurationError
+from repro.common.rng import RandomStream
 from repro.trace.stats import TraceReduction
-from repro.trace.vectorized import (BACKENDS, VectorizedResult,
-                                    divergence_check, numpy_available,
+from repro.trace.vectorized import (VectorizedResult, divergence_check,
                                     params_from_reduction, run_vectorized)
 
 
+def count_below_reference(stream: RandomStream, draws: int, p: float,
+                          chunk: int) -> int:
+    """The oracle count: ``random_block`` draws, compared with ``<``.
+
+    :meth:`RandomStream.count_below`, which draws in numpy, must equal
+    it for every stream, count and probability, and leave the stream
+    where it does.
+    """
+    count = 0
+    while draws > 0:
+        block = stream.random_block(min(chunk, draws))
+        draws -= len(block)
+        count += sum(1 for draw in block if draw < p)
+    return count
+
+
+def run_reference(monkeypatch, *args, **kwargs) -> VectorizedResult:
+    """``run_vectorized`` with every count made by the Python oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(RandomStream, "count_below", count_below_reference)
+        return run_vectorized(*args, **kwargs)
+
+
 class TestBackendIdentity:
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_and_python_are_bit_identical(self):
-        numpy = run_vectorized(3, 50_000, 1987, backend="numpy")
-        python = run_vectorized(3, 50_000, 1987, backend="python")
-        n, p = numpy.metrics(), python.metrics()
-        assert n.pop("backend") == "numpy"
-        assert p.pop("backend") == "python"
-        assert n == p
+    def test_numpy_and_python_are_bit_identical(self, monkeypatch):
+        numpy = run_vectorized(3, 50_000, 1987)
+        python = run_reference(monkeypatch, 3, 50_000, 1987)
+        assert numpy.metrics() == python.metrics()
         assert numpy.ticks == python.ticks
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     @pytest.mark.parametrize("processors", (2, 4, 6))
-    def test_backends_agree_at_the_table1_operating_points(self,
-                                                            processors):
+    def test_backends_agree_at_the_table1_operating_points(self, processors,
+                                                            monkeypatch):
         """The benchmark's ``table1-vector`` runs: 400 K instructions
-        per CPU at seed 1987, about 1.2 M draws per CPU."""
-        numpy = run_vectorized(processors, 400_000, 1987, backend="numpy")
-        python = run_vectorized(processors, 400_000, 1987, backend="python")
-        assert numpy == replace(python, backend="numpy")
+        per CPU at seed 1987, about 1.2 M draws per CPU, equal to the
+        Python oracle's."""
+        numpy = run_vectorized(processors, 400_000, 1987)
+        assert numpy == run_reference(monkeypatch, processors, 400_000, 1987)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_chunk_size_never_changes_results(self):
         """Chunking bounds memory; draws and counts are chunk-invariant."""
         small = run_vectorized(2, 20_000, 1987, chunk=777)
@@ -55,9 +72,9 @@ class TestBackendIdentity:
         assert small.metrics() == large.metrics()
 
     def test_same_seed_same_result_different_seed_differs(self):
-        first = run_vectorized(2, 20_000, 1987, backend="python")
-        again = run_vectorized(2, 20_000, 1987, backend="python")
-        other = run_vectorized(2, 20_000, 1990, backend="python")
+        first = run_vectorized(2, 20_000, 1987)
+        again = run_vectorized(2, 20_000, 1987)
+        other = run_vectorized(2, 20_000, 1990)
         assert first == again
         assert first.misses != other.misses
 
@@ -65,8 +82,7 @@ class TestBackendIdentity:
 class TestStatistics:
     def test_counts_track_configured_rates(self):
         params = AnalyticParameters()
-        result = run_vectorized(4, 100_000, 1987, params=params,
-                                backend="python")
+        result = run_vectorized(4, 100_000, 1987, params=params)
         assert result.miss_rate == pytest.approx(params.miss_rate,
                                                  rel=0.02)
         assert result.dirty_fraction == pytest.approx(
@@ -83,12 +99,12 @@ class TestStatistics:
 
     def test_per_cpu_streams_are_independent(self):
         """Adding a CPU never perturbs existing CPUs' statistics."""
-        two = run_vectorized(2, 30_000, 1987, backend="python")
-        three = run_vectorized(3, 30_000, 1987, backend="python")
+        two = run_vectorized(2, 30_000, 1987)
+        three = run_vectorized(3, 30_000, 1987)
         # CPUs 0 and 1 drew the same streams in both runs, so the
         # third CPU's misses are exactly the difference.
         assert three.misses > two.misses
-        solo = run_vectorized(1, 30_000, 1987, backend="python")
+        solo = run_vectorized(1, 30_000, 1987)
         assert solo.misses <= two.misses
 
     def test_agrees_with_coroutine_simulator_within_bands(self):
@@ -120,14 +136,14 @@ class TestStatistics:
             measured.mean_miss_rate, abs=0.01)
 
     def test_divergence_check_flags_disagreement(self):
-        result = run_vectorized(2, 20_000, 1987, backend="python")
+        result = run_vectorized(2, 20_000, 1987)
         verdicts = divergence_check(result, {"bus_load": 0.95,
                                              "tpi": 40.0})
         assert not verdicts["ok"]
         assert not verdicts["bus_load"]["ok"]
 
     def test_divergence_check_requires_measurements(self):
-        result = run_vectorized(2, 20_000, 1987, backend="python")
+        result = run_vectorized(2, 20_000, 1987)
         with pytest.raises(ConfigurationError, match="bus_load"):
             divergence_check(result, {"tpi": 12.0})
 
@@ -146,8 +162,7 @@ class TestTraceDriven:
         # observe sharing).
         assert params.shared_write_fraction == \
             AnalyticParameters().shared_write_fraction
-        result = run_vectorized(2, 10_000, 1987, params=params,
-                                backend="python")
+        result = run_vectorized(2, 10_000, 1987, params=params)
         assert result.miss_rate == pytest.approx(0.31, rel=0.05)
 
 
@@ -159,18 +174,15 @@ class TestValidationAndWiring:
             run_vectorized(2, 0, 1987)
         with pytest.raises(ConfigurationError, match="chunk"):
             run_vectorized(2, 1000, 1987, chunk=0)
-        with pytest.raises(ConfigurationError, match="unknown vectorized"):
-            run_vectorized(2, 1000, 1987, backend="fortran")
-        assert set(BACKENDS) == {"numpy", "python"}
 
     def test_metrics_dict_is_json_safe(self):
         import json
 
-        result = run_vectorized(2, 5_000, 1987, backend="python")
+        result = run_vectorized(2, 5_000, 1987)
         assert isinstance(result, VectorizedResult)
         round_tripped = json.loads(json.dumps(result.metrics()))
         assert round_tripped["processors"] == 2
-        assert round_tripped["backend"] == "python"
+        assert round_tripped["backend"] == "numpy"
 
     def test_bench_vector_stat_scenario(self):
         from repro.observatory.bench import SCENARIOS

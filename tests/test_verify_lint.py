@@ -195,11 +195,11 @@ class TestV106UncataloguedEvent:
         """Rename a real emit in mbus.py: the lint names its line."""
         path = REPO_ROOT / "src" / "repro" / "bus" / "mbus.py"
         source = path.read_text(encoding="utf-8")
-        assert '"bus.grant"' in source
-        mutant = source.replace('"bus.grant"', '"bus.granted"')
+        assert '"bus.ipi"' in source
+        mutant = source.replace('"bus.ipi"', '"bus.ipis"')
         line = next(number for number, text
                     in enumerate(mutant.splitlines(), start=1)
-                    if '"bus.granted"' in text)
+                    if '"bus.ipis"' in text)
         findings = lint_source(mutant, "src/repro/bus/mbus.py")
         assert [(f.rule, f.line) for f in findings] == [("V106", line)]
         assert lint_source(source, "src/repro/bus/mbus.py") == []
