@@ -7,10 +7,10 @@
 # Usage: scripts/check.sh [extra pytest args]
 # e.g.:  scripts/check.sh -m telemetry
 #
-# The reports worth keeping (verify findings, serve report, campaign
-# report, dashboard, crash report) go to $ARTIFACTS_DIR when it is set
-# (CI sets it and uploads the directory), else to a scratch directory
-# removed on exit.
+# The reports worth keeping (verify findings, BENCH file, serve
+# report, campaign report, dashboard, crash report) go to
+# $ARTIFACTS_DIR when it is set (CI sets it and uploads the
+# directory), else to a scratch directory removed on exit.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,18 +56,15 @@ echo "== static verification (firefly-sim verify) =="
 python -m repro.cli verify --all-protocols --dma \
     --json "$OUT/findings.json" --force
 
-echo "== bench smoke + overhead gates (firefly-sim bench --jobs 2) =="
-# Quick suite with two parallel workers into a scratch dir: proves the
-# deterministic trial executor end to end and runs both paired overhead
-# gates, disabled telemetry and the flight recorder (16 pairs each,
-# about 20 s; no --skip-overhead: a gate whose lower bound exceeds its
-# 2% budget fails this script).  Speed comparisons between revisions
-# are scripts/ab.py's job.  Nothing touches BENCH_*.json at the repo
-# root.
-python -m repro.cli bench --quick --trials 1 --jobs 2 \
-    --scenario exerciser-1cpu --scenario table1-sweep \
-    --scenario core-microbench --scenario vector-stat \
-    --out-dir "$TMP"
+echo "== bench canaries + overhead gates (firefly-sim bench --jobs 2) =="
+# The whole quick suite (four canary scenarios, one run each) with two
+# parallel workers: proves the deterministic trial executor end to end
+# and runs both paired overhead gates, disabled telemetry and the
+# flight recorder (16 pairs each, about 20 s; no --skip-overhead: a
+# gate whose lower bound exceeds its 2% budget fails this script).
+# Speed comparisons between revisions are scripts/ab.py's job.  The
+# BENCH file goes to $OUT, never to the repo root.
+python -m repro.cli bench --quick --jobs 2 --out-dir "$OUT"
 
 echo "== chaos smoke + jobs parity (firefly-sim chaos --jobs 2) =="
 # One quick seeded fault campaign: proves every recovery path end to

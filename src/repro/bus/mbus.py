@@ -298,9 +298,9 @@ class MBus:
             self.utilization.add_busy(MBUS_OP_CYCLES)
             self.stats.incr("parity.errors")
             if self.probe.active:
-                self.probe.instant("fault.bus_parity", "bus", op=op.value,
-                                   address=line_address, initiator=initiator,
-                                   attempt=attempts)
+                self._record_op(start, start - requested, op, line_address,
+                                initiator, False, False, is_victim,
+                                voided=True)
             if attempts > faults.max_retries:
                 faults.notify_exhausted(op, line_address, initiator,
                                         attempts)
@@ -311,26 +311,36 @@ class MBus:
             if faults is not None:
                 faults.notify_recovered(op, line_address, initiator,
                                         attempts)
-        probe = self.probe
-        if probe.active:
-            # The tenure's one record besides the counters.  `wait`
-            # makes it a self-contained latency span: request at
-            # start-wait, grant at start, release at start+duration —
-            # the decomposition the span tracers rebuild transaction
-            # spans from; repro.bus.signals draws Figure 4 from it.
-            causal = {}
-            source = self.context_source
-            if source is not None:
-                ctx = source(initiator)
-                if ctx is not None:
-                    causal = {"trace": ctx.trace_id, "span": ctx.span_id}
-            probe.complete("bus.op", "bus", start, MBUS_OP_CYCLES,
-                           op=op.value, address=line_address,
-                           initiator=initiator, wait=start - requested,
-                           shared=txn.shared_response,
-                           cache_supplied=txn.supplied_by_cache,
-                           victim=is_victim, **causal)
+        if self.probe.active:
+            self._record_op(start, start - requested, op, line_address,
+                            initiator, txn.shared_response,
+                            txn.supplied_by_cache, is_victim)
         return txn
+
+    def _record_op(self, start: int, wait: int, op: BusOp,
+                   line_address: int, initiator: int, shared: bool,
+                   cache_supplied: bool, victim: bool, **voided) -> None:
+        """Emit one tenure's ``bus.op``, its one record besides the
+        counters.
+
+        Every tenure gets one, a parity-voided one too (``voided=True``,
+        no responses).  ``wait`` makes it a self-contained latency span:
+        request at start-wait, grant at start, release at
+        start+duration — the decomposition the span tracers rebuild
+        transaction spans from; repro.bus.signals draws Figure 4 from
+        it.
+        """
+        causal = {}
+        source = self.context_source
+        if source is not None:
+            ctx = source(initiator)
+            if ctx is not None:
+                causal = {"trace": ctx.trace_id, "span": ctx.span_id}
+        self.probe.complete("bus.op", "bus", start, MBUS_OP_CYCLES,
+                            op=op.value, address=line_address,
+                            initiator=initiator, wait=wait, shared=shared,
+                            cache_supplied=cache_supplied, victim=victim,
+                            **voided, **causal)
 
     def _execute(self, op: BusOp, line_address: int, initiator: int,
                  data: Optional[LineData], is_victim: bool,

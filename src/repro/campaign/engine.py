@@ -17,8 +17,8 @@ Because every trial is a pure function of its spec and seed, the
 merged report contains no wall-clock or host fields, so an interrupted
 and resumed campaign serialises **byte-identically** to an
 uninterrupted one at any ``--jobs`` count (the resume test-suite pins
-this).  Bench trials therefore keep only their simulated fields here;
-throughput measurement stays the job of ``firefly-sim bench``.
+this).  No trial kind times anything: host speed is measured by
+``fireflybench/``, outside the package.
 
 Golden sections turn silent drift into a named failure: the spec pins
 ``label -> sha256 digest`` of a trial's result, every run recomputes

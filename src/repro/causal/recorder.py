@@ -10,12 +10,12 @@ shape it:
   disabled path is one attribute test.  ``detach()`` restores the
   inert probes, and tests pin that a run with an attached-then-
   detached recorder produces byte-identical metrics.
-- **≤2 % overhead when on.**  In own-hub mode the recorder enables
-  only the low-rate categories (``sched``, ``rpc``, ``dma``,
-  ``machine``, ``faults``) via :meth:`TelemetryHub.enable_only` — the
-  per-bus-op and per-cache-transition hot paths stay dark — and the
-  hub buffers nothing (``max_events=0``); events flow straight into
-  the ring.  The bench overhead gate measures this mode.
+- **≤2 % overhead when on.**  In own-hub mode the recorder subscribes
+  only to the names the event catalogue declares for the low-rate
+  categories (``sched``, ``rpc``, ``dma``, ``machine``, ``faults``),
+  and the hub buffers nothing (``max_events=0``), so demand alone keeps
+  the per-bus-op and per-cache-transition hot paths dark; events flow
+  straight into the ring.  The bench overhead gate measures this mode.
 
 When something goes wrong (``DeadlockError``, invariant violation,
 unrecovered fault), :func:`repro.causal.crash.capture_crash` drains
@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.telemetry.catalog import CATEGORY_EVENTS
 from repro.telemetry.probe import NULL_PROBE, TelemetryEvent, TelemetryHub
 from repro.telemetry.sampler import RingBuffer
 
 LOW_RATE_CATEGORIES = frozenset(
     {"sched", "rpc", "dma", "machine", "faults"})
 """Categories cheap enough to record always-on.  ``bus`` and ``cache``
-emit per transaction/transition and stay disabled in recorder mode."""
+emit per transaction/transition and stay dark in recorder mode."""
 
 DEFAULT_CAPACITY = 4096
 """Ring capacity: enough recent history to explain a crash."""
@@ -45,8 +46,8 @@ class FlightRecorder:
     Two modes:
 
     - ``FlightRecorder(subject)`` builds its own streaming hub,
-      attaches the subject's probes and restricts live categories to
-      :data:`LOW_RATE_CATEGORIES` — the always-on configuration.
+      attaches the subject's probes and subscribes to the events of
+      :data:`LOW_RATE_CATEGORIES` only — the always-on configuration.
     - ``FlightRecorder(subject, hub=existing)`` rides along on a hub
       someone else attached (e.g. the chaos engine's span tracer),
       adding only a subscriber — no probe slots are touched, so it
@@ -54,8 +55,7 @@ class FlightRecorder:
     """
 
     def __init__(self, subject, capacity: int = DEFAULT_CAPACITY,
-                 hub: Optional[TelemetryHub] = None,
-                 categories=LOW_RATE_CATEGORIES) -> None:
+                 hub: Optional[TelemetryHub] = None) -> None:
         self.subject = subject
         machine = getattr(subject, "machine", subject)
         self.machine = machine
@@ -70,12 +70,18 @@ class FlightRecorder:
                 attach_kernel(hub, self.kernel)
             else:
                 attach_machine(hub, machine)
-            hub.enable_only(categories)
         self.hub = hub
         self.ring: RingBuffer = RingBuffer(capacity)
         self.recorded = 0
         self._attached = True
-        hub.subscribe(self._on_event)
+        if self.owns_hub:
+            # No catalogued name is a prefix of another, so each event
+            # reaches the ring once.
+            for name in sorted({name for category in LOW_RATE_CATEGORIES
+                                for name in CATEGORY_EVENTS[category]}):
+                hub.subscribe(self._on_event, prefix=name)
+        else:
+            hub.subscribe(self._on_event)
 
     # -- intake --------------------------------------------------------
 

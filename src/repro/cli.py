@@ -34,12 +34,13 @@ Subcommands:
     findings (stable ordering) for CI.  Exits non-zero on any
     violation; see docs/VERIFY.md.
 ``bench``
-    Run the pinned benchmark suite and write ``BENCH_<n>.json``: the
-    scenarios' simulated metrics at pinned seeds, and the two paired
-    CPU-time gates on the cost of observing (disabled telemetry and
-    the flight recorder).  Exits non-zero when a gate fails.  Speed
-    comparisons between revisions use ``fireflybench/`` through
-    ``scripts/ab.py``.  See docs/OBSERVATORY.md.
+    Run the pinned canary suite and write ``BENCH_<n>.json``: each
+    scenario's simulated metrics from one run at the pinned seed, and
+    the two paired CPU-time gates on the cost of observing (disabled
+    telemetry and the flight recorder).  Exits non-zero when a gate
+    fails.  Nothing here times a scenario: speed comparisons between
+    revisions use ``fireflybench/`` through ``scripts/ab.py``.  See
+    docs/OBSERVATORY.md.
 ``chaos``
     Run the seeded fault-injection campaigns: pinned scenarios covering
     bus parity corruption, SECDED memory flips, dropped snoops, CPU
@@ -74,9 +75,8 @@ Subcommands:
 ``bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign run`` run
 their seeded trials through one pipeline (see
 :mod:`repro.observatory.trials`) and accept ``--jobs N`` to fan them
-out over worker processes; parallelism changes wall-clock timing
-fields only, never a simulated bit, and a failing trial is reported
-under the same name at every job count.
+out over worker processes; the job count changes no simulated bit, and
+a failing trial is reported under the same name at every job count.
 
 ``simulate`` and ``exerciser`` also accept ``--telemetry-out PATH`` to
 capture a trace of an ordinary run, ``--spans`` for transaction span
@@ -256,10 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the pinned benchmark suite (BENCH_<n>.json)")
     bench.add_argument("--quick", action="store_true",
-                       help="short horizons and fewer trials (CI mode)")
-    bench.add_argument("--trials", type=int, default=None,
-                       help="seeded trials per scenario "
-                            "(default: 3 full, 2 quick)")
+                       help="short horizons (CI mode)")
     bench.add_argument("--scenario", action="append", default=None,
                        metavar="NAME",
                        help="run only this scenario (repeatable)")
@@ -268,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--skip-overhead", action="store_true",
                        help="skip the observability overhead gates")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for (scenario x trial) "
+                       help="worker processes for the scenario "
                             "fan-out; simulated results are identical "
                             "at any job count (default 1)")
 
@@ -709,19 +706,11 @@ def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     if not out_dir.is_dir():
         raise ConfigurationError(f"--out-dir {out_dir} is not a directory")
-    document = run_suite(quick=args.quick, trials=args.trials,
-                         scenarios=args.scenario,
+    document = run_suite(quick=args.quick, scenarios=args.scenario,
                          skip_overhead=args.skip_overhead,
                          jobs=args.jobs,
                          progress=print)
     path = write_bench(document, out_dir)
-    print()
-    table = TextTable([Column("scenario", align_left=True),
-                       Column("ticks/s", ",.0f"), Column("noise", ".1%")])
-    for name, entry in sorted(document["scenarios"].items()):
-        table.add_row(name, entry["median_ticks_per_second"],
-                      entry["noise"])
-    print(table.render())
     overhead = document["overhead"]
     if overhead is not None:
         for passed, line in overhead_verdicts(overhead):

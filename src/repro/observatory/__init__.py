@@ -10,7 +10,7 @@ Three instruments over one simulated machine:
   (the live Table 1 vs Table 2 gap);
 - :mod:`repro.observatory.bench` — the pinned ``firefly-sim bench``
   suite: simulated-metric canaries in BENCH_<n>.json files, and the
-  paired wall-clock gates on the cost of observing.
+  paired CPU-time gates on the cost of observing.
 
 Every harness runs its seeded trials through one pipeline: the
 trial-kind registry of :mod:`repro.observatory.trials` over the

@@ -1,14 +1,12 @@
 """The pinned scenario suite and overhead gates of ``firefly-sim bench``.
 
 Runs a pinned suite of canonical scenarios — the Table 2 exerciser at
-1 and 5 CPUs, a Table 1 synthetic sweep, a protocol comparison, chaos
-and serving smokes, the event core and the vectorized mode — over
-repeated seeded trials, and writes ``BENCH_<n>.json``.  The *simulated*
+1 and 5 CPUs, a Table 1 synthetic sweep and the event core — once each
+at :data:`SEED`, and writes ``BENCH_<n>.json``.  Their *simulated*
 metrics (bus load, TPI, miss rate) are drift canaries: at a fixed seed
-they must not move.  Each trial also records its host throughput
-(simulated cycles per wall second), but nothing here compares it; the
-repository's speed instrument is ``fireflybench/``, and
-``scripts/ab.py`` runs its parent/change A/B protocol.
+they must not move.  Nothing here times a scenario; the repository's
+speed instrument is ``fireflybench/``, and ``scripts/ab.py`` runs its
+parent/change A/B protocol.
 
 The harness also gates the observatory's own cost: the ``overhead``
 block pairs runs of a bare exerciser with runs of the same exerciser
@@ -21,7 +19,7 @@ work, while on a shared host the wall clock also counts the time the
 process waits for a core, and that waiting let a 30% cost through.
 
 Host timing is deliberate here and nowhere else in the package; the
-simulation-safety linter exempts the marked lines.
+simulation-safety linter exempts the marked line.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import json
 import platform
 import re
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
 from typing import Callable, Dict, List, Optional, Tuple
@@ -46,11 +43,15 @@ from repro.telemetry.probe import TelemetryHub
 from repro.telemetry.instrument import attach_kernel
 from repro.workloads.threads_exerciser import ExerciserParams, build_exerciser
 
-BENCH_SCHEMA = "firefly-bench/1"
+BENCH_SCHEMA = "firefly-bench/2"
 BENCH_PATTERN = re.compile(r"^BENCH_(\d{4})\.json$")
 
-#: Seeds for repeated trials, in order; trial i uses TRIAL_SEEDS[i].
-TRIAL_SEEDS = (1987, 1988, 1989, 1990, 1991)
+#: Schemas :func:`validate_bench` accepts: the current one, and
+#: ``/1``, whose entries also carried per-trial host timings.
+READABLE_SCHEMAS = ("firefly-bench/1", BENCH_SCHEMA)
+
+#: The seed of every suite run and every overhead-gate run.
+SEED = 1987
 
 #: Budget of each overhead gate (fraction of CPU time over baseline).
 OVERHEAD_BUDGET = 0.02
@@ -67,10 +68,6 @@ OVERHEAD_PAIRS = 16
 #: probability P(Bin(16, 1/2) <= 3) ~ 1.1%: it is a distribution-free
 #: lower bound on the median, and it needs no random draws.
 OVERHEAD_RANK = 4
-
-
-def _now() -> float:
-    return time.perf_counter()  # lint: allow(V102)
 
 
 def _cpu_now() -> float:
@@ -125,96 +122,6 @@ def _table1_runner(scenario: Scenario, horizon: Horizon,
         metrics[f"np{processors}.bus_load"] = result.bus_load
         metrics[f"np{processors}.load_residual"] = (result.bus_load
                                                     - predicted)
-    return cycles, metrics
-
-
-def _protocol_runner(scenario: Scenario, horizon: Horizon,
-                     seed: int) -> Tuple[int, Dict]:
-    """Firefly vs write-through on the same 4-CPU synthetic workload."""
-    cycles = 0
-    metrics: Dict = {}
-    for protocol in ("firefly", "write-through"):
-        machine = FireflyMachine(FireflyConfig(processors=4,
-                                               protocol=protocol,
-                                               seed=seed))
-        result = machine.run(warmup_cycles=horizon.warmup,
-                             measure_cycles=horizon.measure)
-        cycles += machine.sim.now
-        key = protocol.replace("-", "_")
-        metrics[f"{key}.bus_load"] = result.bus_load
-        metrics[f"{key}.mean_tpi"] = result.mean_tpi
-    if metrics["write_through.bus_load"] > 0:
-        metrics["load_ratio"] = (metrics["firefly.bus_load"]
-                                 / metrics["write_through.bus_load"])
-    return cycles, metrics
-
-
-def _chaos_smoke_runner(scenario: Scenario, horizon: Horizon,
-                        seed: int) -> Tuple[int, Dict]:
-    """A two-scenario chaos campaign, timed like any other benchmark.
-
-    Keeps fault-injection on the continuous-benchmark radar: a
-    regression in recovery machinery (retry storms, audit cost, offline
-    flush) shows up as a throughput drop here before anyone runs the
-    full ``firefly-sim chaos`` suite.  Horizons are owned by the chaos
-    scenarios themselves; this runner only picks quick vs full.
-
-    Imported lazily: ``repro.faults.chaos`` imports observatory
-    modules, so a module-level import would be circular.
-    """
-    from repro.faults.chaos import run_campaign
-
-    report = run_campaign(seed=seed, quick=horizon is scenario.quick,
-                          scenarios=["bus-parity", "cpu-offline"])
-    counts = report.fault_counts()
-    metrics: Dict = {
-        "scenarios_ok": sum(1 for o in report.outcomes if o.ok),
-        "scenarios_run": len(report.outcomes),
-        "faults_injected": counts["injected"],
-        "faults_detected": counts["detected"],
-        "faults_recovered": counts["recovered"],
-    }
-    for outcome in report.outcomes:
-        prefix = outcome.name.replace("-", "_")
-        for key in ("degradation.tpi_pct", "degradation.bus_load_pct"):
-            if key in outcome.metrics:
-                metrics[f"{prefix}.{key}"] = outcome.metrics[key]
-    return report.total_cycles, metrics
-
-
-def _serve_smoke_runner(scenario: Scenario, horizon: Horizon,
-                        seed: int) -> Tuple[int, Dict]:
-    """A two-scenario serving campaign, timed like any other benchmark.
-
-    Keeps the resilience layer on the continuous-benchmark radar: a
-    regression in the serving path (retry bookkeeping, breaker checks,
-    hedge forking) shows up as a throughput drop here before anyone
-    runs the full ``firefly-sim serve`` suite.  Horizons are owned by
-    the serve scenarios themselves; this runner only picks quick vs
-    full.
-
-    Imported lazily: ``repro.serving.engine`` imports observatory
-    modules, so a module-level import would be circular.
-    """
-    from repro.serving.engine import run_serve_campaign
-
-    report = run_serve_campaign(
-        seed=seed, quick=horizon is scenario.quick,
-        scenarios=["steady-poisson", "latency-under-chaos"])
-    totals = report.totals()
-    metrics: Dict = {
-        "scenarios_ok": sum(1 for o in report.outcomes if o.ok),
-        "scenarios_run": len(report.outcomes),
-        "calls": totals["calls"],
-        "calls_ok": totals["ok"],
-        "shed": totals["shed"],
-        "retries": totals["retries"],
-    }
-    for outcome in report.outcomes:
-        prefix = outcome.name.replace("-", "_")
-        for key, value in outcome.degradation.items():
-            metrics[f"{prefix}.degradation.{key}"] = value
-    cycles = sum(outcome.total_cycles for outcome in report.outcomes)
     return cycles, metrics
 
 
@@ -274,32 +181,6 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     return sim.now, metrics
 
 
-def _vector_stat_runner(scenario: Scenario, horizon: Horizon,
-                        seed: int) -> Tuple[int, Dict]:
-    """The vectorized statistical mode at Table 1 processor counts.
-
-    ``horizon.measure`` is the per-CPU instruction budget; the reported
-    cycles are the simulated ticks the statistics cover (instructions x
-    TPI), making ticks/s directly comparable with the coroutine
-    scenarios it replaces for pure (M, D, S) runs.  Imported lazily:
-    the vectorized mode lives in :mod:`repro.trace`, which benches
-    must not pay for unless this scenario is selected.
-    """
-    from repro.trace.vectorized import run_vectorized
-
-    counts = (2, 4) if horizon is scenario.quick else (2, 4, 6)
-    cycles = 0
-    metrics: Dict = {"processor_counts": list(counts)}
-    for processors in counts:
-        result = run_vectorized(processors, horizon.measure, seed)
-        cycles += result.ticks
-        metrics[f"np{processors}.bus_load"] = result.bus_load
-        metrics[f"np{processors}.mean_tpi"] = result.mean_tpi
-        metrics[f"np{processors}.miss_rate"] = result.miss_rate
-        metrics["backend"] = result.backend
-    return cycles, metrics
-
-
 #: The pinned suite.  Each runner returns ``(simulated_cycles, metrics)``,
 #: metrics being a flat dict of JSON-safe simulated measurements.
 SCENARIOS: Tuple[Scenario, ...] = (
@@ -315,27 +196,10 @@ SCENARIOS: Tuple[Scenario, ...] = (
              "Synthetic workload at Table 1 processor counts vs the model",
              full=Horizon(30_000, 60_000), quick=Horizon(15_000, 30_000),
              runner=_table1_runner),
-    Scenario("protocol-comparison",
-             "firefly vs write-through coherence on 4 CPUs",
-             full=Horizon(30_000, 60_000), quick=Horizon(15_000, 30_000),
-             runner=_protocol_runner),
-    Scenario("chaos-smoke",
-             "fault-injection campaign: bus parity + CPU offline recovery",
-             full=Horizon(10_000, 90_000), quick=Horizon(5_000, 45_000),
-             runner=_chaos_smoke_runner),
-    Scenario("serve-smoke",
-             "resilient serving: steady Poisson + latency under chaos",
-             full=Horizon(150_000, 1_200_000),
-             quick=Horizon(60_000, 400_000),
-             runner=_serve_smoke_runner),
     Scenario("core-microbench",
              "scheduler-only event-core microbenchmark (no models)",
              full=Horizon(0, 20_000), quick=Horizon(0, 5_000),
              runner=_core_microbench_runner),
-    Scenario("vector-stat",
-             "vectorized statistical mode at Table 1 processor counts",
-             full=Horizon(0, 400_000), quick=Horizon(0, 100_000),
-             runner=_vector_stat_runner),
 )
 
 
@@ -343,62 +207,11 @@ def scenario_names() -> List[str]:
     return [scenario.name for scenario in SCENARIOS]
 
 
-# ---------------------------------------------------------------------------
-# running the suite
-
-
-@dataclass(frozen=True)
-class Trial:
-    """One timed run of one scenario."""
-
-    seed: int
-    cycles: int
-    wall_seconds: float
-    ticks_per_second: float
-
-    def to_dict(self) -> Dict:
-        return {"seed": self.seed, "cycles": self.cycles,
-                "wall_seconds": self.wall_seconds,
-                "ticks_per_second": self.ticks_per_second}
-
-
-@dataclass
-class ScenarioResult:
-    """All trials of one scenario plus the canonical-seed metrics."""
-
-    scenario: Scenario
-    trials: List[Trial] = field(default_factory=list)
-    metrics: Dict = field(default_factory=dict)
-
-    @property
-    def median_ticks_per_second(self) -> float:
-        return median(t.ticks_per_second for t in self.trials)
-
-    @property
-    def noise(self) -> float:
-        """Trial spread: (max - min) / median of ticks/sec."""
-        rates = [t.ticks_per_second for t in self.trials]
-        mid = median(rates)
-        if mid == 0:
-            return 0.0
-        return (max(rates) - min(rates)) / mid
-
-    def to_dict(self) -> Dict:
-        return {
-            "description": self.scenario.description,
-            "trials": [t.to_dict() for t in self.trials],
-            "median_ticks_per_second": self.median_ticks_per_second,
-            "noise": self.noise,
-            "metrics": self.metrics,
-        }
-
-
 # -- observability overhead gates --------------------------------------------
 
 
 def _exerciser():
-    return build_exerciser(2, ExerciserParams(threads=8),
-                           seed=TRIAL_SEEDS[0])
+    return build_exerciser(2, ExerciserParams(threads=8), seed=SEED)
 
 
 def _timed(kernel) -> float:
@@ -430,8 +243,8 @@ def _recorder_run() -> float:
     """CPU time of one exerciser run with the flight recorder live.
 
     This is the always-on configuration: the recorder's own streaming
-    hub with only the low-rate categories enabled, events flowing into
-    the bounded ring for the whole run.
+    hub, on which only the low-rate categories it reads are live,
+    events flowing into the bounded ring for the whole run.
     """
     from repro.causal.recorder import FlightRecorder
 
@@ -497,58 +310,38 @@ def overhead_verdicts(block: Dict) -> List[Tuple[bool, str]]:
 # BENCH files
 
 
-def _trial_count(quick: bool, trials: Optional[int]) -> int:
-    count = trials if trials is not None else (2 if quick else 3)
-    if count < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {count}")
-    if count > len(TRIAL_SEEDS):
-        raise ConfigurationError(
-            f"at most {len(TRIAL_SEEDS)} trials are pinned, got {count}")
-    return count
-
-
-def run_suite(quick: bool = False, trials: Optional[int] = None,
-              scenarios: Optional[List[str]] = None,
+def run_suite(quick: bool = False, scenarios: Optional[List[str]] = None,
               skip_overhead: bool = False,
               jobs: int = 1,
               progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the pinned suite and return the BENCH document.
 
-    The (scenario x trial) grid is one ``bench`` trial group run through
-    :mod:`repro.observatory.trials` — in-process at ``jobs=1``, fanned
-    out over worker processes above — so the document's simulated
-    content is identical at any job count; only the wall-clock fields
-    differ (they describe the host, and a loaded host at ``jobs=N`` is
-    a different host).  Metrics come from each scenario's first trial.
+    The scenarios are one ``bench`` trial group at :data:`SEED`, run
+    through :mod:`repro.observatory.trials` — in-process at ``jobs=1``,
+    fanned out over worker processes above.  Each scenario's entry is
+    its trial's campaign record plus its description, so everything
+    but the ``overhead`` block is identical at any job count.
     """
     from repro.observatory.trials import (expand_group, run_trials,
                                           validate_group)
 
-    count = _trial_count(quick, trials)
     group = validate_group({"kind": "bench", "scenarios": scenarios or None,
-                            "quick": quick,
-                            "seeds": list(TRIAL_SEEDS[:count])}, "bench")
+                            "quick": quick, "seeds": [SEED]}, "bench")
     by_name = {scenario.name: scenario for scenario in SCENARIOS}
-    results = {name: ScenarioResult(by_name[name])
-               for name in group["scenarios"]}
+    entries: Dict = {}
 
     def collect(trial, record: Dict) -> None:
-        result = results[trial.params["scenario"]]
-        name = result.scenario.name
-        if not result.trials:
-            result.metrics = record["metrics"]
-            if progress is not None:
-                progress(f"{name}: {result.scenario.description}")
-        result.trials.append(Trial(record["seed"], record["cycles"],
-                                   record["wall_seconds"],
-                                   record["ticks_per_second"]))
+        scenario = by_name[trial.params["scenario"]]
+        entries[scenario.name] = dict(record,
+                                      description=scenario.description)
         if progress is not None:
-            progress(f"  {name} trial {len(result.trials)}/{count}: "
-                     f"{record['ticks_per_second'] / 1e3:.0f}K ticks/s")
+            progress(f"{scenario.name}: {scenario.description}")
 
+    run_trials(expand_group(group, ()), jobs=jobs, on_result=collect)
+    mode = "quick" if quick else "full"
     document: Dict = {
         "schema": BENCH_SCHEMA,
-        "mode": "quick" if quick else "full",
+        "mode": mode,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -559,17 +352,13 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
         # BENCH files written before the stamp existed; every reader
         # tolerates that.
         "provenance": provenance_stamp({
-            "mode": "quick" if quick else "full",
-            "trials": count,
+            "mode": mode,
             "scenarios": group["scenarios"],
             "skip_overhead": skip_overhead,
         }, schema=BENCH_SCHEMA),
-        "scenarios": {},
+        "scenarios": entries,
         "overhead": None,
     }
-    run_trials(expand_group(group, ()), jobs=jobs, on_result=collect)
-    document["scenarios"] = {name: result.to_dict()
-                             for name, result in results.items()}
     if not skip_overhead:
         if progress is not None:
             progress("overhead: disabled-telemetry and flight-recorder "
@@ -579,13 +368,18 @@ def run_suite(quick: bool = False, trials: Optional[int] = None,
 
 
 def validate_bench(document: Dict) -> List[str]:
-    """Structural problems with a BENCH document ([] when valid)."""
+    """Structural problems with a BENCH document ([] when valid).
+
+    Checks what every readable schema carries and the dashboard reads:
+    ``/1`` entries also hold per-trial host timings, which nothing
+    reads any more.
+    """
     problems: List[str] = []
     if not isinstance(document, dict):
         return ["document is not a JSON object"]
-    if document.get("schema") != BENCH_SCHEMA:
+    if document.get("schema") not in READABLE_SCHEMAS:
         problems.append(f"schema is {document.get('schema')!r}, "
-                        f"expected {BENCH_SCHEMA!r}")
+                        f"expected one of {', '.join(READABLE_SCHEMAS)}")
     if document.get("mode") not in ("full", "quick"):
         problems.append("mode must be 'full' or 'quick'")
     scenarios = document.get("scenarios")
@@ -596,18 +390,8 @@ def validate_bench(document: Dict) -> List[str]:
         if not isinstance(entry, dict):
             problems.append(f"{name}: entry is not an object")
             continue
-        trials = entry.get("trials")
-        if not isinstance(trials, list) or not trials:
-            problems.append(f"{name}: trials must be a non-empty list")
-        else:
-            for i, trial in enumerate(trials):
-                for key in ("seed", "cycles", "wall_seconds",
-                            "ticks_per_second"):
-                    if not isinstance(trial.get(key), (int, float)):
-                        problems.append(f"{name}: trial {i} missing {key}")
-        for key in ("median_ticks_per_second", "noise"):
-            if not isinstance(entry.get(key), (int, float)):
-                problems.append(f"{name}: missing numeric {key}")
+        if not isinstance(entry.get("description"), str):
+            problems.append(f"{name}: description must be a string")
         if not isinstance(entry.get("metrics"), dict):
             problems.append(f"{name}: metrics must be an object")
         elif not entry["metrics"]:

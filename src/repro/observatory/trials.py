@@ -207,18 +207,10 @@ def _run_pinned(trial: TrialSpec):
 
 
 def _run_bench(trial: TrialSpec) -> Dict:
-    """A bench scenario, wall-clock timed around the bare runner call."""
-    scenario, horizon = _pinned(trial)
-    start = bench._now()
-    cycles, metrics = scenario.runner(scenario, horizon, trial.seed)
-    elapsed = bench._now() - start
-    return {
-        "seed": trial.seed,
-        "cycles": cycles,
-        "wall_seconds": elapsed,
-        "ticks_per_second": cycles / elapsed if elapsed > 0 else 0.0,
-        "metrics": metrics,
-    }
+    """A bench scenario's campaign record: its simulated cycles and
+    metrics."""
+    cycles, metrics = _run_pinned(trial)
+    return {"seed": trial.seed, "cycles": cycles, "metrics": metrics}
 
 
 def _run_vector(trial: TrialSpec) -> Dict:
@@ -259,11 +251,6 @@ def _run_probe(trial: TrialSpec) -> Dict:
     return {"seed": trial.seed, "value": value}
 
 
-def _untimed(record: Dict) -> Dict:
-    """A bench record without its wall-clock fields."""
-    return {key: record[key] for key in ("seed", "cycles", "metrics")}
-
-
 def _as_dict(outcome) -> Dict:
     return outcome.to_dict()
 
@@ -290,7 +277,7 @@ def _serve_scenarios():
     return engine.SERVE_SCENARIOS
 
 
-def _scenario_kind(name: str, scenarios, run, extract) -> TrialKind:
+def _scenario_kind(name: str, scenarios, run, **extract) -> TrialKind:
     """bench, chaos and serve: one pinned scenario per trial."""
     return TrialKind(
         name=name,
@@ -298,7 +285,7 @@ def _scenario_kind(name: str, scenarios, run, extract) -> TrialKind:
               "quick": Key(True, _boolean)},
         axes=(("scenarios", "scenario"),),
         label=name + "/{scenario}/{mode}/s{seed}",
-        run=run, extract=extract, scenarios=scenarios)
+        run=run, scenarios=scenarios, **extract)
 
 
 TRIAL_KINDS: Dict[str, TrialKind] = {kind.name: kind for kind in (
@@ -313,9 +300,9 @@ TRIAL_KINDS: Dict[str, TrialKind] = {kind.name: kind for kind in (
         axes=(("processors", "processors"), ("protocol", "protocol")),
         label="sweep/np{processors}/{protocol}/{generation}/s{seed}",
         run=_run_sweep_point),
-    _scenario_kind("bench", _bench_scenarios, _run_bench, _untimed),
-    _scenario_kind("chaos", _chaos_scenarios, _run_pinned, _as_dict),
-    _scenario_kind("serve", _serve_scenarios, _run_pinned, _as_dict),
+    _scenario_kind("bench", _bench_scenarios, _run_bench),
+    _scenario_kind("chaos", _chaos_scenarios, _run_pinned, extract=_as_dict),
+    _scenario_kind("serve", _serve_scenarios, _run_pinned, extract=_as_dict),
     TrialKind(
         "vector",
         keys={"processors": Key([2, 4, 6], _each(_integer(1))),

@@ -157,7 +157,7 @@ class Processor:
     __slots__ = ("sim", "cpu_id", "timing", "cache", "source", "prefetch",
                  "_rng", "stats", "_base_acc", "_wasted_acc", "onchip",
                  "_write_token", "_halted", "failed", "_window_start",
-                 "process", "fast_path",
+                 "process",
                  "_c_refs_ifetch", "_c_refs_dread", "_c_refs_dwrite",
                  "_c_sp_stalls", "_c_bus_stall_cycles", "_c_instructions",
                  "_c_prefetch_covered")
@@ -200,11 +200,6 @@ class Processor:
         self.failed = False
         self._window_start = 0
         self.process = None  # set by start()
-        #: When True (the default), hit accesses are serviced by the
-        #: cache's non-generator fast paths.  Timing, statistics and
-        #: telemetry are identical either way (tests/test_fastpath.py
-        #: asserts it); the flag exists so those tests can compare.
-        self.fast_path = True
         # Per-reference counters, pre-created so the execute loop does
         # bound Counter.add calls instead of keyed StatSet lookups.
         stats = self.stats
@@ -276,7 +271,6 @@ class Processor:
         sim = self.sim
         cache = self.cache
         onchip = self.onchip
-        fast = self.fast_path
         tick = timing.tick_cycles
         miss_overhead = timing.miss_overhead_cycles
         prefetch_enabled = self.prefetch.enabled
@@ -298,7 +292,7 @@ class Processor:
             if kind is AccessKind.DATA_WRITE:
                 value = self._next_write_value(bundle, write_index)
                 write_index += 1
-                if fast and cache.cpu_write_fast(ref, value):
+                if cache.cpu_write_fast(ref, value):
                     elapsed = 0
                 else:
                     started = sim.now
@@ -308,7 +302,7 @@ class Processor:
             elif kind is AccessKind.INSTRUCTION_READ:
                 if onchip is not None and onchip.access(ref.address):
                     elapsed = 0
-                elif fast and cache.cpu_read_fast(ref):
+                elif cache.cpu_read_fast(ref):
                     elapsed = 0
                 else:
                     started = sim.now
@@ -316,7 +310,7 @@ class Processor:
                     elapsed = sim.now - started
                 self._c_refs_ifetch.add()
             else:
-                if fast and cache.cpu_read_fast(ref):
+                if cache.cpu_read_fast(ref):
                     elapsed = 0
                 else:
                     started = sim.now

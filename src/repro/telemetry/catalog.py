@@ -63,13 +63,11 @@ _X, _I = COMPLETE, INSTANT
 CATALOGUE: Tuple[EventSpec, ...] = (
     _spec("bus.op", "bus", _X, "bus",
           "op address initiator wait shared cache_supplied victim",
-          "trace span", "`MBus.transaction`; `trace`/`span` when the "
+          "voided trace span", "`MBus.transaction`, per tenure; `voided` "
+          "on a tenure bus parity voided; `trace`/`span` when the "
           "initiating CPU runs a traced thread"),
     _spec("bus.ipi", "bus", _I, "bus", "target sender", "",
           "`MBus.send_interrupt`"),
-    _spec("fault.bus_parity", "bus", _I, "bus",
-          "op address initiator attempt", "",
-          "MBus, per parity-voided tenure"),
     _spec("fault.snoop_drop", "bus", _I, "bus", "op address victim", "",
           "MBus, per swallowed snoop probe"),
     _spec("cache.transition", "cache", f"{_X} {_I}", "cache<i>",

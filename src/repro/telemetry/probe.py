@@ -27,7 +27,7 @@ Event taxonomy and exporters are documented in ``docs/TELEMETRY.md``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.telemetry.catalog import CATEGORY_EVENTS, COMPLETE, INSTANT
@@ -154,8 +154,6 @@ class TelemetryHub:
         self.events: List[TelemetryEvent] = []
         self.emitted = 0
         self.dropped = 0
-        self._enabled = True
-        self._categories: Optional[frozenset] = None
         self._probes: Dict[Tuple[str, str], Probe] = {}
         self._subscribers: List[Tuple[str, Subscriber]] = []
         self._routes: Dict[str, Dict[str, Tuple[Subscriber, ...]]] = {}
@@ -180,42 +178,16 @@ class TelemetryHub:
     def probe_active(self, category: str) -> bool:
         """Whether a probe of ``category`` should currently be live.
 
-        It is when the hub is enabled, :meth:`enable_only` admits the
-        category, and someone reads it: the hub buffers events, or a
+        It is when someone reads it: the hub buffers events, or a
         subscriber's prefix matches a name the catalogue declares for
-        the category.  Subscribing, unsubscribing, :meth:`enable_only`
-        and ``enabled`` re-evaluate every handed-out probe.
+        the category.  Subscribing and unsubscribing re-evaluate every
+        handed-out probe.
         """
-        if not self._enabled:
-            return False
-        if self._categories is not None and category not in self._categories:
-            return False
         return self.max_events > 0 or any(self.routes(category).values())
 
     def routes(self, category: str) -> Dict[str, Tuple[Subscriber, ...]]:
         """Catalogued event name -> subscribers, for one probe category."""
         return self._routes.get(category, {})
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this hub's probes may be live (``False`` darkens all)."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        self._refresh_probes()
-
-    def enable_only(self, categories) -> None:
-        """Restrict live probes to ``categories`` (None lifts the filter).
-
-        The filter composes with ``enabled`` and applies to probes handed
-        out later too — the flight recorder uses it to keep hot-path
-        categories (``bus``, ``cache``) dark while recording scheduler
-        and RPC events.
-        """
-        self._categories = None if categories is None else frozenset(categories)
-        self._refresh_probes()
 
     def _reroute(self) -> None:
         """Rebuild the per-category routes, then refresh every probe."""
@@ -225,9 +197,6 @@ class TelemetryHub:
                                    if name.startswith(prefix))
                         for name in names}
             for category, names in CATEGORY_EVENTS.items()}
-        self._refresh_probes()
-
-    def _refresh_probes(self) -> None:
         for (category, _prefix), probe in self._probes.items():
             probe.active = self.probe_active(category)
             probe.routes = self.routes(category)
@@ -299,6 +268,5 @@ class TelemetryHub:
         return len(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "enabled" if self._enabled else "disabled"
-        return (f"<TelemetryHub {state} events={len(self.events)} "
+        return (f"<TelemetryHub events={len(self.events)} "
                 f"dropped={self.dropped}>")

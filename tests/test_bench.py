@@ -1,19 +1,21 @@
 """The pinned benchmark suite, its BENCH files and its overhead gates.
 
 The suite's contract: schema-valid BENCH documents at the next free
-index, a pinned scenario registry, and simulated metrics from real
-runs.  The overhead gates' contract, checked on injected timings: one
-warmup run is discarded, pairs alternate which configuration runs
-first, the bound is the 4th-smallest of 16 paired ratios, a
-configuration 10% slower fails while one 1% slower passes, and a
-failing gate names itself and fails ``firefly-sim bench``.  The slow
-mutation test proves the gates fail on real timings when every probe
-is forced live.
+index, a pinned scenario registry, one run per scenario at the pinned
+seed whose entry is the bench trial's campaign record plus its
+description, and a loader that still reads the committed ``/1`` files.
+The overhead gates' contract, checked on injected timings: one warmup
+run is discarded, pairs alternate which configuration runs first, the
+bound is the 4th-smallest of 16 paired ratios, a configuration 10%
+slower fails while one 1% slower passes, and a failing gate names
+itself and fails ``firefly-sim bench``.  The slow mutation test proves
+the gates fail on real timings when every probe is forced live.
 """
 
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -23,32 +25,28 @@ from repro.observatory import (
     BENCH_SCHEMA,
     bench,
     bench_files,
+    load_bench,
     next_bench_path,
     run_suite,
     scenario_names,
     validate_bench,
     write_bench,
 )
-from repro.observatory.bench import SCENARIOS
+from repro.observatory.bench import SCENARIOS, SEED
+from repro.observatory.trials import TrialSpec, run_trial
 from repro.system.scenario import Horizon
 from repro.telemetry.probe import TelemetryHub
 
 pytestmark = pytest.mark.observatory
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
-def synthetic_bench(rates):
-    """A schema-valid BENCH document from {scenario: ticks/sec}."""
-    scenarios = {}
-    for name, rate in rates.items():
-        scenarios[name] = {
-            "description": name,
-            "trials": [{"seed": 1987, "cycles": 100_000,
-                        "wall_seconds": 100_000 / rate,
-                        "ticks_per_second": rate}],
-            "median_ticks_per_second": rate,
-            "noise": 0.0,
-            "metrics": {"bus_load": 0.5},
-        }
+
+def synthetic_bench(names):
+    """A schema-valid BENCH document with one entry per name."""
+    scenarios = {name: {"description": name, "seed": SEED,
+                        "cycles": 100_000, "metrics": {"bus_load": 0.5}}
+                 for name in names}
     return {"schema": BENCH_SCHEMA, "mode": "full",
             "host": {"platform": "test", "python": "3", "machine": "x"},
             "scenarios": scenarios, "overhead": None}
@@ -59,17 +57,28 @@ def synthetic_bench(rates):
 
 class TestBenchFiles:
     def test_synthetic_document_is_schema_valid(self):
-        assert validate_bench(synthetic_bench({"a": 1.0})) == []
+        document = synthetic_bench(["a"])
+        assert document["schema"] == "firefly-bench/2"
+        assert validate_bench(document) == []
 
     def test_validation_catches_damage(self):
-        doc = synthetic_bench({"a": 1.0})
+        doc = synthetic_bench(["a"])
         doc["schema"] = "nonsense/9"
-        doc["scenarios"]["a"]["trials"] = []
+        del doc["scenarios"]["a"]["description"]
         doc["scenarios"]["a"]["metrics"] = {}
         problems = validate_bench(doc)
         assert any("schema" in p for p in problems)
-        assert any("trials" in p for p in problems)
+        assert any("description" in p for p in problems)
         assert any("metrics" in p for p in problems)
+
+    def test_committed_version_1_files_still_load(self):
+        """BENCH_0001-0003 predate the one-run entry: ``/1`` entries
+        carry per-trial host timings.  The loader reads them beside
+        ``/2`` documents."""
+        for n in (1, 2, 3):
+            document = load_bench(REPO_ROOT / f"BENCH_000{n}.json")
+            assert document["schema"] == "firefly-bench/1"
+            assert "trials" in document["scenarios"]["exerciser-1cpu"]
 
     def test_write_refuses_invalid_document(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -88,9 +97,7 @@ class TestBenchFiles:
 
     def test_pinned_scenario_registry(self):
         assert scenario_names() == ["exerciser-1cpu", "exerciser-5cpu",
-                                    "table1-sweep", "protocol-comparison",
-                                    "chaos-smoke", "serve-smoke",
-                                    "core-microbench", "vector-stat"]
+                                    "table1-sweep", "core-microbench"]
         for scenario in SCENARIOS:
             assert scenario.quick.total < scenario.full.total
 
@@ -99,25 +106,19 @@ class TestBenchFiles:
 
 
 class TestBenchRuns:
-    @pytest.mark.slow
-    def test_run_scenario_measures_throughput_and_metrics(self):
-        scenario = SCENARIOS[0]  # exerciser-1cpu
-        document = run_suite(quick=True, trials=1,
-                             scenarios=[scenario.name], skip_overhead=True)
-        result = document["scenarios"][scenario.name]
-        assert len(result["trials"]) == 1
-        trial = result["trials"][0]
-        assert trial["cycles"] >= scenario.quick.total
-        assert trial["ticks_per_second"] > 0
-        assert result["noise"] == 0.0
-        assert 0.0 < result["metrics"]["bus_load"] < 1.0
-        assert result["metrics"]["mean_tpi"] > 0
-
-    def test_trial_count_validation(self):
-        for trials in (0, 99):
-            with pytest.raises(ConfigurationError):
-                run_suite(trials=trials, scenarios=[SCENARIOS[0].name],
-                          skip_overhead=True)
+    def test_entry_is_the_campaign_record_plus_description(self):
+        scenario = next(s for s in SCENARIOS if s.name == "core-microbench")
+        document = run_suite(quick=True, scenarios=[scenario.name],
+                             skip_overhead=True)
+        entry = document["scenarios"][scenario.name]
+        assert sorted(entry) == ["cycles", "description", "metrics", "seed"]
+        record = run_trial(TrialSpec(
+            "bench", f"bench/{scenario.name}/quick/s{SEED}", SEED,
+            {"scenario": scenario.name, "quick": True}))
+        assert entry == dict(record, description=scenario.description)
+        assert entry["seed"] == SEED
+        assert entry["cycles"] == scenario.quick.total
+        assert entry["metrics"]["events_scheduled"] > 0
 
     def test_cli_rejects_unknown_scenario(self, tmp_path, capsys):
         code = main(["bench", "--scenario", "does-not-exist",
@@ -186,13 +187,13 @@ class TestOverheadGates:
         for gate in ("disabled", "recorder"):
             assert block[f"{gate}_bound"] == pytest.approx(1.03)
             assert block[f"{gate}_ratio"] == pytest.approx(1.075)
-        assert validate_bench(dict(synthetic_bench({"a": 1.0}),
+        assert validate_bench(dict(synthetic_bench(["a"]),
                                    overhead=block)) == []
 
     def test_failing_gate_fails_bench(self, tmp_path, monkeypatch, capsys):
         inject_timings(monkeypatch, disabled=[1.01], recorder=[1.10])
-        code = main(["bench", "--quick", "--trials", "1", "--scenario",
-                     "core-microbench", "--out-dir", str(tmp_path)])
+        code = main(["bench", "--quick", "--scenario", "core-microbench",
+                     "--out-dir", str(tmp_path)])
         assert code == 1
         out, err = capsys.readouterr()
         assert "disabled overhead gate: median ratio 1.010, bound 1.010 " \

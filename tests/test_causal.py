@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.causal import (FlightRecorder, LOW_RATE_CATEGORIES,
-                          ContextAllocator, RequestTracer, SEGMENTS,
-                          trace_requests)
+from repro.causal import (FlightRecorder, ContextAllocator,
+                          RequestTracer, SEGMENTS, trace_requests)
 from repro.causal.assemble import BusOpLedger, _union_length
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.events import Simulator
@@ -110,28 +109,7 @@ class TestKernelPropagation:
 
 
 # ---------------------------------------------------------------------------
-# the category filter and sampler drop counter
-
-
-class TestEnableOnly:
-    def test_filter_restricts_probe_activity(self):
-        sim = Simulator()
-        hub = TelemetryHub(sim, max_events=100)
-        sched = hub.probe("sched")
-        bus = hub.probe("bus")
-        assert sched.active and bus.active
-        hub.enable_only(LOW_RATE_CATEGORIES)
-        assert sched.active
-        assert not bus.active
-        hub.enable_only(None)
-        assert bus.active
-
-    def test_filter_applies_to_later_probes(self):
-        sim = Simulator()
-        hub = TelemetryHub(sim, max_events=100)
-        hub.enable_only({"sched"})
-        assert not hub.probe("cache").active
-        assert hub.probe("sched").active
+# the sampler drop counter
 
 
 class TestSamplerDropped:

@@ -18,6 +18,7 @@ import zlib
 
 import pytest
 
+from repro.cache import SnoopyCache
 from repro.cache.protocols import available_protocols
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DEFAULT_CHUNK, RandomStream, StreamFactory
@@ -30,17 +31,24 @@ MEASURE = 10_000
 
 def _run_machine(protocol: str, fast: bool, seed: int = 1987,
                  with_telemetry: bool = False):
-    """(metrics dict, telemetry event count) for one small run."""
+    """(metrics dict, telemetry event count) for one small run.
+
+    ``fast=False`` makes both fast paths decline every access, so each
+    one goes through the generator path.
+    """
     machine = FireflyMachine(FireflyConfig(
         processors=2, protocol=protocol, seed=seed))
     hub = None
     if with_telemetry:
         hub, sampler = telemetry_for_machine(machine)
         sampler.start()
-    if not fast:
-        for cpu in machine.cpus:
-            cpu.fast_path = False
-    metrics = machine.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
+    with pytest.MonkeyPatch.context() as patch:
+        if not fast:
+            patch.setattr(SnoopyCache, "cpu_read_fast",
+                          lambda cache, ref: False)
+            patch.setattr(SnoopyCache, "cpu_write_fast",
+                          lambda cache, ref, value: False)
+        metrics = machine.run(warmup_cycles=WARMUP, measure_cycles=MEASURE)
     return metrics.to_dict(), (hub.emitted if hub is not None else None)
 
 

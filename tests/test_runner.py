@@ -171,26 +171,11 @@ class TestByteIdentity:
         assert serial.render() == parallel.render()
 
     def test_bench_simulated_content_identical_across_jobs(self):
-        """BENCH documents byte-compare after dropping the wall-clock
-        measurement fields — those describe the host, and a host
-        running N workers is a different host."""
-        kw = dict(quick=True, trials=2, scenarios=["exerciser-1cpu"],
+        """Without the overhead gates a BENCH document holds no host
+        timing, so it is the same document at any job count."""
+        kw = dict(quick=True, scenarios=["exerciser-1cpu", "core-microbench"],
                   skip_overhead=True)
-        serial = self._normalised(run_suite(jobs=1, **kw))
-        parallel = self._normalised(run_suite(jobs=2, **kw))
-        assert serial == parallel
-
-    @staticmethod
-    def _normalised(document):
-        document = json.loads(json.dumps(document, sort_keys=True))
-        document.pop("host", None)
-        for entry in document["scenarios"].values():
-            entry.pop("median_ticks_per_second", None)
-            entry.pop("noise", None)
-            for trial in entry["trials"]:
-                trial.pop("wall_seconds", None)
-                trial.pop("ticks_per_second", None)
-        return json.dumps(document, sort_keys=True)
+        assert run_suite(jobs=1, **kw) == run_suite(jobs=2, **kw)
 
 
 class TestSweepValidation:

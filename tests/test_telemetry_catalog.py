@@ -5,8 +5,7 @@
   shows it verbatim;
 - a live probe refuses an event its category does not declare;
 - a streaming hub keeps a probe live only while a subscriber reads its
-  category, re-evaluated on subscribe / unsubscribe / enable_only /
-  enabled;
+  category, re-evaluated on subscribe / unsubscribe;
 - darkening unread categories changes nothing a consumer sees: the
   request tracer, the span tracer and the flight recorder produce the
   same output on a streaming hub as on a buffering one.
@@ -66,7 +65,7 @@ class TestCatalogue:
     def test_declares_exactly_the_emitted_names(self):
         emitted = {_emitted_event_name(call) for _, call in _emit_sites()}
         assert emitted == set(EVENTS)
-        assert len(CATALOGUE) == len(EVENTS) == 30
+        assert len(CATALOGUE) == len(EVENTS) == 29
         assert EVENTS["rpc.call"].categories == ("rpc", "serving")
 
     def test_emit_sites_match_their_entries(self):
@@ -176,18 +175,6 @@ class TestLiveness:
         hub = TelemetryHub(Simulator(), max_events=10)
         assert _live(hub) == set(CATEGORY_EVENTS)
 
-    def test_enable_only_and_enabled_compose_with_demand(self):
-        hub = TelemetryHub(Simulator(), max_events=0)
-        hub.subscribe(lambda event: None)
-        assert _live(hub) == set(CATEGORY_EVENTS)
-        hub.enable_only({"sched", "bus"})
-        assert _live(hub) == {"sched", "bus"}
-        hub.enabled = False
-        assert _live(hub) == set()
-        hub.enabled = True
-        hub.enable_only(None)
-        assert _live(hub) == set(CATEGORY_EVENTS)
-
     def test_probes_handed_out_later_follow_demand(self):
         hub = TelemetryHub(Simulator(), max_events=0)
         hub.subscribe(lambda event: None, prefix="cache.")
@@ -215,9 +202,16 @@ class TestLiveness:
         tracer.close()
 
     def test_flight_recorder_keeps_its_low_rate_filter(self):
+        """The own-hub recorder reads the low-rate categories' names,
+        so demand alone keeps bus and cache dark.  ``rpc.call`` is
+        catalogued under ``serving`` too, which lights that category;
+        a kernel attaches no serving probe."""
         kernel = build_exerciser(2, ExerciserParams(threads=4), seed=3)
         recorder = FlightRecorder(kernel)
-        assert _live(recorder.hub) == set(LOW_RATE_CATEGORIES)
+        assert _live(recorder.hub) == set(LOW_RATE_CATEGORIES) | {"serving"}
+        assert not kernel.machine.mbus.probe.active
+        assert not any(cache.probe.active for cache in kernel.machine.caches)
+        assert kernel.probe.active
         recorder.detach()
         assert _live(recorder.hub) == set()
 

@@ -53,12 +53,13 @@ def _harnesses(tmp_path):
     return {
         "bench": (
             "bench",
-            lambda jobs: run_suite(quick=True, trials=2,
-                                   scenarios=["core-microbench"],
+            lambda jobs: run_suite(quick=True,
+                                   scenarios=["core-microbench",
+                                              "exerciser-1cpu"],
                                    skip_overhead=True, jobs=jobs),
-            ["bench", "--quick", "--trials", "2", "--scenario",
-             "core-microbench", "--skip-overhead", "--out-dir",
-             str(tmp_path)],
+            ["bench", "--quick", "--scenario", "core-microbench",
+             "--scenario", "exerciser-1cpu", "--skip-overhead",
+             "--out-dir", str(tmp_path)],
             "bench/core-microbench/quick/s1987"),
         "chaos": (
             "chaos",

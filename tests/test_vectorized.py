@@ -8,8 +8,8 @@ Three contracts from docs/PERFORMANCE.md:
 - the mode's (M, D, S) statistics and derived load/TPI/RP agree with
   the coroutine simulator within the DivergenceMonitor's noise bands
   (the paper's own slide-rule accuracy standard, never byte equality);
-- the bench scenario and campaign trial kind that expose it stay
-  deterministic and JSON-safe.
+- the campaign trial kind that exposes it stays deterministic and
+  JSON-safe.
 """
 
 from __future__ import annotations
@@ -184,18 +184,21 @@ class TestValidationAndWiring:
         assert round_tripped["processors"] == 2
         assert round_tripped["backend"] == "numpy"
 
-    def test_bench_vector_stat_scenario(self):
-        from repro.observatory.bench import SCENARIOS
+    def test_vector_kind_at_table1_counts(self):
+        from repro.observatory.trials import (expand_group, run_trials,
+                                              validate_group)
 
-        scenario = next(s for s in SCENARIOS if s.name == "vector-stat")
-        cycles, metrics = scenario.runner(scenario, scenario.quick, 1987)
-        assert metrics["processor_counts"] == [2, 4]
-        assert cycles > 0
-        for processors in (2, 4):
-            assert 0.0 < metrics[f"np{processors}.bus_load"] < 1.0
-            assert metrics[f"np{processors}.mean_tpi"] > 11.9
+        group = validate_group({"kind": "vector", "processors": [2, 4],
+                                "seeds": [1987]}, "vector")
+        results = run_trials(expand_group(group, ()))
+        assert [r["metrics"]["processors"] for r in results] == [2, 4]
+        for result in results:
+            assert result["cycles"] > 0
+            assert 0.0 < result["metrics"]["bus_load"] < 1.0
+            assert result["metrics"]["mean_tpi"] > 11.9
         # More processors, more bus load — the Table 1 shape.
-        assert metrics["np4.bus_load"] > metrics["np2.bus_load"]
+        assert (results[1]["metrics"]["bus_load"]
+                > results[0]["metrics"]["bus_load"])
 
     def test_campaign_vector_kind(self):
         from repro.observatory.trials import TrialSpec, run_trial
