@@ -7,10 +7,10 @@
 # Usage: scripts/check.sh [extra pytest args]
 # e.g.:  scripts/check.sh -m telemetry
 #
-# The reports worth keeping (verify findings, BENCH file, serve
-# report, campaign report, dashboard, crash report) go to
-# $ARTIFACTS_DIR when it is set (CI sets it and uploads the
-# directory), else to a scratch directory removed on exit.
+# The reports worth keeping (verify findings, chaos and serve reports,
+# campaign report, dashboard, crash report) go to $ARTIFACTS_DIR when
+# it is set (CI sets it and uploads the directory), else to a scratch
+# directory removed on exit.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,48 +56,46 @@ echo "== static verification (firefly-sim verify) =="
 python -m repro.cli verify --all-protocols --dma \
     --json "$OUT/findings.json" --force
 
-echo "== bench canaries + overhead gates (firefly-sim bench --jobs 2) =="
-# The whole quick suite (four canary scenarios, one run each) with two
-# parallel workers: proves the deterministic trial executor end to end
-# and runs both paired overhead gates, disabled telemetry and the
-# flight recorder (16 pairs each, about 20 s; no --skip-overhead: a
-# gate whose lower bound exceeds its 2% budget fails this script).
-# Speed comparisons between revisions are scripts/ab.py's job.  The
-# BENCH file goes to $OUT, never to the repo root.
-python -m repro.cli bench --quick --jobs 2 --out-dir "$OUT"
+echo "== overhead gates (firefly-sim bench) =="
+# Both paired overhead gates, disabled telemetry and the flight
+# recorder (16 pairs each, about 20 s): a gate whose lower bound
+# exceeds its 2% budget fails this script.  The bench canaries run in
+# the campaign smoke below; speed comparisons between revisions are
+# scripts/ab.py's job.
+python -m repro.cli bench
 
 echo "== chaos smoke + jobs parity (firefly-sim chaos --jobs 2) =="
-# One quick seeded fault campaign: proves every recovery path end to
-# end (see docs/FAULTS.md); exits nonzero if any scenario fails.  Run
-# twice at different job counts and require byte-identical reports —
-# both go through the one trial pipeline.
-python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline --jobs 2 --json "$TMP/chaos-j2.json"
-python -m repro.cli chaos --quick --scenario bus-parity \
-    --scenario cpu-offline --jobs 1 --json "$TMP/chaos-j1.json" \
+# The quick seeded fault campaign, all five scenarios: proves every
+# recovery path end to end (see docs/FAULTS.md); exits nonzero if any
+# scenario fails.  Run twice at different job counts and require
+# byte-identical reports — both go through the one trial pipeline.
+python -m repro.cli chaos --quick --jobs 2 --json "$OUT/chaos.json" \
+    --force
+python -m repro.cli chaos --quick --jobs 1 --json "$TMP/chaos-j1.json" \
     >/dev/null
-cmp "$TMP/chaos-j2.json" "$TMP/chaos-j1.json"
+cmp "$OUT/chaos.json" "$TMP/chaos-j1.json"
 
 echo "== serve smoke + SLO gate (firefly-sim serve --jobs 2) =="
-# One quick open-loop serving scenario under the resilience layer: the
-# SLO gate exits nonzero on a p99 or success-rate breach (see
-# docs/SERVING.md).  Run twice at different job counts and require
-# byte-identical reports — the serving layer's determinism contract.
-python -m repro.cli serve --quick --scenario steady-poisson \
-    --jobs 2 --json "$OUT/serve.json" --force
-python -m repro.cli serve --quick --scenario steady-poisson \
-    --jobs 1 --json "$TMP/serve-j1.json" --force >/dev/null
+# The quick open-loop serving scenarios, all four, under the
+# resilience layer: the SLO gate exits nonzero on a p99 or
+# success-rate breach (see docs/SERVING.md).  Run twice at different
+# job counts and require byte-identical reports — the serving layer's
+# determinism contract.
+python -m repro.cli serve --quick --jobs 2 --json "$OUT/serve.json" \
+    --force
+python -m repro.cli serve --quick --jobs 1 --json "$TMP/serve-j1.json" \
+    >/dev/null
 cmp "$OUT/serve.json" "$TMP/serve-j1.json"
 
 echo "== campaign smoke (firefly-sim campaign run + report) =="
 # The quick example campaign through the resumable ledger into a
-# scratch store (golden digests included — drift exits nonzero), then
-# the HTML dashboard over the committed BENCH files plus that ledger
-# (see docs/CAMPAIGNS.md).
+# scratch store (golden digests included, the four bench canaries
+# among them — drift exits nonzero), then the HTML dashboard over that
+# ledger (see docs/CAMPAIGNS.md).
 python -m repro.cli campaign run examples/campaigns/quick.yaml \
     --jobs 2 --store-dir "$TMP/store" \
     --report "$OUT/campaign-report.json" --force
-python -m repro.cli campaign report --bench-dir . \
+python -m repro.cli campaign report \
     --store-dir "$TMP/store" --out "$OUT/dashboard.html" --force
 
 echo "== postmortem smoke (firefly-sim postmortem) =="

@@ -100,7 +100,7 @@ class SnoopyCache:
                  "geometry", "lines", "stats", "probe",
                  "_track", "tag_busy_until", "on_snooped_write",
                  "_wpl_shift", "_off_mask", "_idx_mask", "_tag_shift",
-                 "_silent_states", "_silent_result", "_read_hit_is_base",
+                 "_silent_states", "_silent_result",
                  "_c_ifetch_hit", "_c_ifetch_miss", "_c_dread_hit",
                  "_c_dread_miss", "_c_dwrite_hit", "_c_dwrite_miss",
                  "_c_snoop_probes", "_c_snoop_hits")
@@ -138,22 +138,9 @@ class SnoopyCache:
         self._off_mask = geometry.words_per_line - 1
         self._idx_mask = geometry.lines - 1
         self._tag_shift = geometry.lines.bit_length() - 1
-        # Protocol facts the fast path needs per access, hoisted.  The
-        # generated facts table (DSL-compiled protocols) is preferred;
-        # hand-written protocol classes fall back to the class attrs.
-        facts = getattr(protocol, "facts", None)
-        if facts is not None:
-            self._silent_states = facts.silent_write_states
-            self._silent_result = facts.silent_write_result
-        else:
-            self._silent_states = protocol.silent_write_states
-            self._silent_result = protocol.silent_write_result
-        # Every shipped protocol inherits the base read_hit, which only
-        # returns line.data[offset]; when that's the case the fast path
-        # can skip the call outright (the CPU discards the value).
-        from repro.cache.protocols.base import CoherenceProtocol
-        self._read_hit_is_base = (
-            type(protocol).read_hit is CoherenceProtocol.read_hit)
+        # Protocol facts the write fast path needs per access, hoisted.
+        self._silent_states = protocol.silent_write_states
+        self._silent_result = protocol.silent_write_result
         # Hot counters pre-created (the MBus does the same) so the hit
         # path increments a bound Counter instead of formatting a key
         # and resolving it through the StatSet dict on every access.
@@ -204,16 +191,14 @@ class SnoopyCache:
         """Service a read hit without suspending; True if fully handled.
 
         The non-generator twin of :meth:`cpu_read` for the
-        overwhelmingly common case: a tag match under a protocol whose
-        ``read_hit`` is the silent base implementation.  Takes zero
+        overwhelmingly common case, a tag match (a read hit is silent
+        in every protocol, so no protocol sees it).  Takes zero
         simulated time, performs the same counter update as the
         generator path, and emits nothing (read hits never emit).  The
         CPU discards the value, so none is returned.  Returns False —
-        with no side effects at all — when the generator path must run
-        (a miss, or a protocol with a side-effecting ``read_hit``).
+        with no side effects at all — on a miss, where the generator
+        path must run.
         """
-        if not self._read_hit_is_base:
-            return False
         line_number = ref.address >> self._wpl_shift
         line = self.lines[line_number & self._idx_mask]
         if (line.state is LineState.INVALID
@@ -266,8 +251,7 @@ class SnoopyCache:
         ifetch = ref.kind is AccessKind.INSTRUCTION_READ
         if line.state is not LineState.INVALID and line.tag == tag:
             (self._c_ifetch_hit if ifetch else self._c_dread_hit).add()
-            value = self.protocol.read_hit(self, line, offset)
-            return value
+            return line.data[offset]
         (self._c_ifetch_miss if ifetch else self._c_dread_miss).add()
         start = self.mbus.sim.now
         value = yield from self.protocol.read_miss(self, line, index, tag, offset)

@@ -2,11 +2,12 @@
 
 A protocol answers two kinds of stimulus (Figure 3's P and M arcs):
 
-- **Processor side** — ``read_hit`` / ``read_miss`` / ``write_hit`` /
-  ``write_miss``.  The miss and write paths are generators so they can
-  perform bus transactions with ``yield from cache.bus_op(...)``; a
-  processor access therefore takes exactly as long as the bus work the
-  protocol performs.
+- **Processor side** — ``read_miss`` / ``write_hit`` / ``write_miss``.
+  These are generators so they can perform bus transactions with
+  ``yield from cache.bus_op(...)``; a processor access therefore takes
+  exactly as long as the bus work the protocol performs.  A read hit
+  is silent in every protocol, so the cache serves it without asking
+  the protocol.
 - **Bus side** — ``snoop``, called synchronously by the MBus for every
   transaction that probes a line this cache holds.  It applies the
   M-arc transition and returns the MShared / data-supply response.
@@ -46,10 +47,6 @@ class CoherenceProtocol(abc.ABC):
     silent_write_result: Optional[LineState] = LineState.DIRTY
 
     # -- processor side -------------------------------------------------
-
-    def read_hit(self, cache, line: CacheLine, offset: int) -> int:
-        """A read hit is silent in every implemented protocol."""
-        return line.data[offset]
 
     @abc.abstractmethod
     def read_miss(self, cache, line: CacheLine, index: int, tag: int,

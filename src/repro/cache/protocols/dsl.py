@@ -6,9 +6,10 @@ compiler driver: it runs the static guard checker over the definition
 (**before any simulation** — an ill-formed definition cannot even be
 imported), then wires the generated artefacts onto the class:
 
-- ``name`` / ``silent_write_states`` / ``silent_write_result`` and the
-  full :class:`~repro.protodsl.defs.ProtocolFacts` table (``facts``)
-  that the cache fast paths and the DMA hook consume,
+- ``name`` / ``silent_write_states`` / ``silent_write_result``, which
+  the cache's write fast path reads, and the full
+  :class:`~repro.protodsl.defs.ProtocolFacts` table (``facts``) that
+  the DMA hook consumes,
 - dispatch indexes (state → write-hit action, (bus op, state) → snoop
   rule) the generator handlers below interpret.
 
@@ -75,11 +76,7 @@ class ProtocolDefinitionError(ConfigurationError):
 
 
 class DSLProtocol(CoherenceProtocol):  # lint: allow(V105)
-    """Interprets a :class:`~repro.protodsl.defs.ProtocolDef`.
-
-    ``read_hit`` is deliberately *not* overridden: the cache's read
-    fast path keys on the base-class implementation being in force.
-    """
+    """Interprets a :class:`~repro.protodsl.defs.ProtocolDef`."""
 
     #: Set by subclasses; compiled by ``__init_subclass__``.
     definition: Optional[ProtocolDef] = None

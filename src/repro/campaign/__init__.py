@@ -16,8 +16,8 @@ that a first-class, resumable artifact instead of a shell loop:
 - :mod:`repro.campaign.engine` — expansion → skip-completed → ordered
   fan-out → durable append → merged report → golden verdicts.
 
-The observatory dashboard over the committed BENCH_* files and
-campaign ledgers lives in :mod:`repro.reporting.html`.  See
+The ledgers are the repository's one result record: the observatory
+dashboard over them lives in :mod:`repro.reporting.html`.  See
 docs/CAMPAIGNS.md.
 """
 

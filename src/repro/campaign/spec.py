@@ -41,7 +41,7 @@ persistent ledger (:mod:`repro.campaign.store`).
 
 Each kind's keys, defaults, checks, axes and label are declared once,
 in :data:`repro.observatory.trials.TRIAL_KINDS`, the registry the
-``bench``, ``chaos``, ``serve`` and ``sweep`` subcommands read too.
+``chaos``, ``serve`` and ``sweep`` subcommands read too.
 The ``probe`` kind is a deliberately trivial trial (a pure function of
 its seed) used by the resume/interrupt test-suite and by smoke
 campaigns; it can be told to fail for chosen seeds through an

@@ -34,13 +34,12 @@ Subcommands:
     findings (stable ordering) for CI.  Exits non-zero on any
     violation; see docs/VERIFY.md.
 ``bench``
-    Run the pinned canary suite and write ``BENCH_<n>.json``: each
-    scenario's simulated metrics from one run at the pinned seed, and
-    the two paired CPU-time gates on the cost of observing (disabled
-    telemetry and the flight recorder).  Exits non-zero when a gate
-    fails.  Nothing here times a scenario: speed comparisons between
-    revisions use ``fireflybench/`` through ``scripts/ab.py``.  See
-    docs/OBSERVATORY.md.
+    Run the two paired CPU-time gates on the cost of observing
+    (disabled telemetry and the flight recorder) and print one line per
+    gate; exits non-zero when a gate fails.  The pinned bench canaries
+    run as ``bench`` groups of a campaign spec, and speed comparisons
+    between revisions use ``fireflybench/`` through ``scripts/ab.py``.
+    See docs/OBSERVATORY.md.
 ``chaos``
     Run the seeded fault-injection campaigns: pinned scenarios covering
     bus parity corruption, SECDED memory flips, dropped snoops, CPU
@@ -67,13 +66,13 @@ Subcommands:
     ledger, skipping already-completed trials, checking pinned golden
     digests, and writing a byte-deterministic merged report;
     ``resume`` is ``run`` that refuses to start from an empty ledger;
-    ``report`` renders the static HTML dashboard from the committed
-    ``BENCH_<n>.json`` files plus the campaign ledgers;
+    ``report`` renders the static HTML dashboard from the campaign
+    ledgers;
     ``gc`` compacts a ledger to the rows the current spec and git
     revision can still use.
 
-``bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign run`` run
-their seeded trials through one pipeline (see
+``chaos``, ``serve``, ``sweep`` and ``campaign run`` run their seeded
+trials through one pipeline (see
 :mod:`repro.observatory.trials`) and accept ``--jobs N`` to fan them
 out over worker processes; the job count changes no simulated bit, and
 a failing trial is reported under the same name at every job count.
@@ -101,8 +100,7 @@ Examples::
     firefly-sim verify --protocol firefly
     firefly-sim verify --all-protocols --dma
     firefly-sim verify --all-protocols --json findings.json
-    firefly-sim bench --quick
-    firefly-sim bench --quick --jobs 4 --out-dir /tmp/bench
+    firefly-sim bench
     firefly-sim chaos --quick
     firefly-sim chaos --seed 2024 --scenario snoop-storm --json report.json
     firefly-sim chaos --quick --jobs 4
@@ -253,21 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     postmortem.add_argument("--force", action="store_true",
                             help="overwrite an existing --json file")
 
-    bench = sub.add_parser(
-        "bench", help="run the pinned benchmark suite (BENCH_<n>.json)")
-    bench.add_argument("--quick", action="store_true",
-                       help="short horizons (CI mode)")
-    bench.add_argument("--scenario", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_<n>.json (default: .)")
-    bench.add_argument("--skip-overhead", action="store_true",
-                       help="skip the observability overhead gates")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the scenario "
-                            "fan-out; simulated results are identical "
-                            "at any job count (default 1)")
+    sub.add_parser(
+        "bench", help="run the observability overhead gates")
 
     for name, blurb in (("chaos", "run the seeded fault-injection "
                                   "campaigns"),
@@ -337,9 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reportp = campaign_sub.add_parser(
         "report", help="render the static HTML dashboard")
     _campaign_common(reportp, with_spec=False)
-    reportp.add_argument("--bench-dir", default=".", metavar="DIR",
-                         help="directory holding the BENCH_<n>.json "
-                              "files (default .)")
     reportp.add_argument("--out", default="dashboard.html",
                          metavar="PATH",
                          help="output HTML path (default "
@@ -699,27 +681,15 @@ def _cmd_postmortem(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.common.errors import ConfigurationError
-    from repro.observatory import run_suite, write_bench
-    from repro.observatory.bench import overhead_verdicts
+    from repro.observatory.bench import measure_overhead, overhead_verdicts
 
-    out_dir = Path(args.out_dir)
-    if not out_dir.is_dir():
-        raise ConfigurationError(f"--out-dir {out_dir} is not a directory")
-    document = run_suite(quick=args.quick, scenarios=args.scenario,
-                         skip_overhead=args.skip_overhead,
-                         jobs=args.jobs,
-                         progress=print)
-    path = write_bench(document, out_dir)
-    overhead = document["overhead"]
-    if overhead is not None:
-        for passed, line in overhead_verdicts(overhead):
-            if passed:
-                print(line)
-            else:
-                print(f"error: {line} exceeds its budget", file=sys.stderr)
-    print(f"bench: wrote {path}")
-    return 0 if overhead is None or overhead["ok"] else 1
+    overhead = measure_overhead()
+    for passed, line in overhead_verdicts(overhead):
+        if passed:
+            print(line)
+        else:
+            print(f"error: {line} exceeds its budget", file=sys.stderr)
+    return 0 if overhead["ok"] else 1
 
 
 def _cmd_scenarios(args) -> int:
@@ -820,20 +790,15 @@ def _cmd_campaign(args) -> int:
         return 0 if run.ok else 1
 
     if args.campaign_command == "report":
-        from repro.observatory import bench_files, load_bench
         from repro.reporting import render_dashboard
 
         _guard_output(args.out, args.force, "--out")
-        bench_dir = Path(args.bench_dir)
-        docs = [(path.name, load_bench(path))
-                for path in bench_files(bench_dir)]
         ledgers = [(name, list(store.load(name).rows.values()))
                    for name in store.campaigns()]
-        Path(args.out).write_text(render_dashboard(docs, ledgers))
+        Path(args.out).write_text(render_dashboard(ledgers))
         trials = sum(len(rows) for _, rows in ledgers)
-        print(f"campaign report: {len(docs)} BENCH file(s), "
-              f"{len(ledgers)} ledger(s) ({trials} trial(s)) -> "
-              f"{args.out}")
+        print(f"campaign report: {len(ledgers)} ledger(s) "
+              f"({trials} trial(s)) -> {args.out}")
         return 0
 
     # gc

@@ -1,9 +1,8 @@
 """Artifact provenance: git revision and content-hash stamps.
 
-Every persistent artifact this repo writes — ``BENCH_<n>.json``
-documents, campaign ledger rows, merged campaign reports — carries the
-same three provenance fields so that a result can always be traced back
-to the code and configuration that produced it:
+The persistent artifacts this repo writes — campaign ledger rows and
+merged campaign reports — carry provenance so that a result can always
+be traced back to the code and configuration that produced it:
 
 ``git_sha``
     The repository revision the artifact was produced at (``None`` when
@@ -12,16 +11,13 @@ to the code and configuration that produced it:
 ``schema``
     The artifact's own format version (stamped by the artifact writer,
     not by this module).
-``config_hash``
-    A content hash of the *configuration* that produced the artifact,
-    computed by :func:`content_hash` over canonical JSON, so two runs
-    with the same parameters hash identically regardless of dict
-    insertion order.
+content hashes
+    :func:`content_hash` over canonical JSON: a spec's hash, a trial's
+    ledger key and a result's golden digest, so two runs with the same
+    parameters hash identically regardless of dict insertion order.
 
-Readers must tolerate the absence of every provenance field: artifacts
-written before this module existed (``BENCH_0001.json``,
-``BENCH_0002.json``) carry none of them and remain first-class inputs
-to the observatory dashboard.
+Readers must tolerate the absence of every provenance field: ledger
+rows written before the stamp existed carry none of them.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import hashlib
 import json
 import subprocess
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 #: Hash prefix used by :func:`content_hash`; keys and golden digests
 #: carry it so a future algorithm change cannot silently collide.
@@ -78,19 +74,3 @@ def git_sha(root: Optional[Path] = None) -> Optional[str]:
     sha = completed.stdout.strip()
     return sha if sha else None
 
-
-def provenance_stamp(config, schema: Optional[str] = None,
-                     sha: Optional[str] = None) -> Dict:
-    """The provenance block artifact writers embed.
-
-    ``config`` is whatever JSON-safe value describes the run's inputs;
-    ``sha`` lets callers that stamp many artifacts in one process look
-    the revision up once.
-    """
-    stamp: Dict = {
-        "git_sha": git_sha() if sha is None else sha,
-        "config_hash": content_hash(config),
-    }
-    if schema is not None:
-        stamp["schema"] = schema
-    return stamp

@@ -28,8 +28,8 @@ DEFAULT_CHUNK = 65_536
 class RandomStream:
     """A named, seeded pseudo-random stream (wraps :mod:`random.Random`).
 
-    Draw-for-draw identity is load-bearing: every BENCH metric and the
-    calibration tests pin exact values, so each method below must
+    Draw-for-draw identity is load-bearing: the campaign golden digests
+    and the calibration tests pin exact values, so each method below must
     consume exactly the same Mersenne-Twister words as the plain
     :mod:`random.Random` call it stands in for.  The fast paths are
     therefore *provably identical* rewrites, not approximations:

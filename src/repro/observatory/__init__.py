@@ -8,9 +8,10 @@ Three instruments over one simulated machine:
 - :mod:`repro.observatory.divergence` — the §5.2 queueing model
   evaluated continuously at measured rates, with residual bands
   (the live Table 1 vs Table 2 gap);
-- :mod:`repro.observatory.bench` — the pinned ``firefly-sim bench``
-  suite: simulated-metric canaries in BENCH_<n>.json files, and the
-  paired CPU-time gates on the cost of observing.
+- :mod:`repro.observatory.bench` — the four pinned simulated-metric
+  canaries the ``bench`` trial kind runs (their records are campaign
+  ledger rows and golden digests), and the paired CPU-time gates on
+  the cost of observing that ``firefly-sim bench`` runs.
 
 Every harness runs its seeded trials through one pipeline: the
 trial-kind registry of :mod:`repro.observatory.trials` over the
@@ -19,18 +20,7 @@ deterministic executor of :mod:`repro.observatory.runner`.
 See docs/OBSERVATORY.md.
 """
 
-from repro.observatory.bench import (
-    BENCH_SCHEMA,
-    SCENARIOS,
-    bench_files,
-    load_bench,
-    measure_overhead,
-    next_bench_path,
-    run_suite,
-    scenario_names,
-    validate_bench,
-    write_bench,
-)
+from repro.observatory.bench import SCENARIOS, measure_overhead
 from repro.observatory.divergence import (
     DivergenceBands,
     DivergenceMonitor,
@@ -51,7 +41,6 @@ from repro.observatory.spans import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
     "SCENARIOS",
     "CacheSpan",
     "DivergenceBands",
@@ -62,15 +51,8 @@ __all__ = [
     "SWEEP_SCHEMA",
     "SpanTracer",
     "TrialFailure",
-    "bench_files",
-    "load_bench",
     "measure_overhead",
-    "next_bench_path",
     "run_ordered",
-    "run_suite",
     "run_sweep",
-    "scenario_names",
     "trace_spans",
-    "validate_bench",
-    "write_bench",
 ]

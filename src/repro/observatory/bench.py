@@ -1,22 +1,26 @@
-"""The pinned scenario suite and overhead gates of ``firefly-sim bench``.
+"""The pinned bench canaries and the overhead gates of ``firefly-sim bench``.
 
-Runs a pinned suite of canonical scenarios — the Table 2 exerciser at
-1 and 5 CPUs, a Table 1 synthetic sweep and the event core — once each
-at :data:`SEED`, and writes ``BENCH_<n>.json``.  Their *simulated*
-metrics (bus load, TPI, miss rate) are drift canaries: at a fixed seed
-they must not move.  Nothing here times a scenario; the repository's
-speed instrument is ``fireflybench/``, and ``scripts/ab.py`` runs its
-parent/change A/B protocol.
+:data:`SCENARIOS` pins four canonical scenarios — the Table 2
+exerciser at 1 and 5 CPUs, a Table 1 synthetic sweep against the §5.2
+model and the event core — that the ``bench`` trial kind of
+:mod:`repro.observatory.trials` runs from a campaign group.  Their
+*simulated* metrics (bus load, TPI, miss rate, model residuals) are
+drift canaries: at a fixed seed they must not move, and the quick
+example campaign pins each one's record as a golden digest.  Nothing
+here times a scenario; the repository's speed instrument is
+``fireflybench/``, and ``scripts/ab.py`` runs its parent/change A/B
+protocol.
 
-The harness also gates the observatory's own cost: the ``overhead``
-block pairs runs of a bare exerciser with runs of the same exerciser
-under dark probes (the ``probe.active`` dead-branch contract of
-:mod:`repro.telemetry`) and under the always-on flight recorder, and
-fails a gate whose lower bound on the median ratio exceeds the budget.
-The gates time the process's CPU, not the wall clock: the simulator
-is single-threaded and CPU-bound, so the cost of observing is CPU
-work, while on a shared host the wall clock also counts the time the
-process waits for a core, and that waiting let a 30% cost through.
+``firefly-sim bench`` runs the two overhead gates on the observatory's
+own cost: :func:`measure_overhead` pairs runs of a bare exerciser with
+runs of the same exerciser under dark probes (the ``probe.active``
+dead-branch contract of :mod:`repro.telemetry`) and under the
+always-on flight recorder, and fails a gate whose lower bound on the
+median ratio exceeds the budget.  The gates time the process's CPU,
+not the wall clock: the simulator is single-threaded and CPU-bound, so
+the cost of observing is CPU work, while on a shared host the wall
+clock also counts the time the process waits for a core, and that
+waiting let a 30% cost through.
 
 Host timing is deliberate here and nowhere else in the package; the
 simulation-safety linter exempts the marked line.
@@ -24,18 +28,12 @@ simulation-safety linter exempts the marked line.
 
 from __future__ import annotations
 
-import json
-import platform
-import re
 import time
-from pathlib import Path
 from statistics import median
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.analytic.queueing import AnalyticParameters, FireflyAnalyticModel
-from repro.common.errors import ConfigurationError
 from repro.common.events import Simulator
-from repro.common.provenance import provenance_stamp
 from repro.common.rng import RandomStream
 from repro.system import FireflyConfig, FireflyMachine
 from repro.system.scenario import Horizon, Scenario
@@ -43,20 +41,13 @@ from repro.telemetry.probe import TelemetryHub
 from repro.telemetry.instrument import attach_kernel
 from repro.workloads.threads_exerciser import ExerciserParams, build_exerciser
 
-BENCH_SCHEMA = "firefly-bench/2"
-BENCH_PATTERN = re.compile(r"^BENCH_(\d{4})\.json$")
-
-#: Schemas :func:`validate_bench` accepts: the current one, and
-#: ``/1``, whose entries also carried per-trial host timings.
-READABLE_SCHEMAS = ("firefly-bench/1", BENCH_SCHEMA)
-
-#: The seed of every suite run and every overhead-gate run.
+#: The seed of every overhead-gate run.
 SEED = 1987
 
 #: Budget of each overhead gate (fraction of CPU time over baseline).
 OVERHEAD_BUDGET = 0.02
 
-#: The exerciser horizon of every overhead run, in quick and full mode.
+#: The exerciser horizon of every overhead run.
 OVERHEAD_HORIZON = Horizon(10_000, 50_000)
 
 #: Paired runs per overhead gate.
@@ -203,10 +194,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
 )
 
 
-def scenario_names() -> List[str]:
-    return [scenario.name for scenario in SCENARIOS]
-
-
 # -- observability overhead gates --------------------------------------------
 
 
@@ -304,157 +291,3 @@ def overhead_verdicts(block: Dict) -> List[Tuple[bool, str]]:
                          f"bound {bound:.3f} over {block['pairs']} pairs "
                          f"(budget {block['budget']:.0%})"))
     return verdicts
-
-
-# ---------------------------------------------------------------------------
-# BENCH files
-
-
-def run_suite(quick: bool = False, scenarios: Optional[List[str]] = None,
-              skip_overhead: bool = False,
-              jobs: int = 1,
-              progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """Run the pinned suite and return the BENCH document.
-
-    The scenarios are one ``bench`` trial group at :data:`SEED`, run
-    through :mod:`repro.observatory.trials` — in-process at ``jobs=1``,
-    fanned out over worker processes above.  Each scenario's entry is
-    its trial's campaign record plus its description, so everything
-    but the ``overhead`` block is identical at any job count.
-    """
-    from repro.observatory.trials import (expand_group, run_trials,
-                                          validate_group)
-
-    group = validate_group({"kind": "bench", "scenarios": scenarios or None,
-                            "quick": quick, "seeds": [SEED]}, "bench")
-    by_name = {scenario.name: scenario for scenario in SCENARIOS}
-    entries: Dict = {}
-
-    def collect(trial, record: Dict) -> None:
-        scenario = by_name[trial.params["scenario"]]
-        entries[scenario.name] = dict(record,
-                                      description=scenario.description)
-        if progress is not None:
-            progress(f"{scenario.name}: {scenario.description}")
-
-    run_trials(expand_group(group, ()), jobs=jobs, on_result=collect)
-    mode = "quick" if quick else "full"
-    document: Dict = {
-        "schema": BENCH_SCHEMA,
-        "mode": mode,
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        # Provenance (PR 6): which revision produced this document and
-        # a content hash of the suite configuration.  Absent from
-        # BENCH files written before the stamp existed; every reader
-        # tolerates that.
-        "provenance": provenance_stamp({
-            "mode": mode,
-            "scenarios": group["scenarios"],
-            "skip_overhead": skip_overhead,
-        }, schema=BENCH_SCHEMA),
-        "scenarios": entries,
-        "overhead": None,
-    }
-    if not skip_overhead:
-        if progress is not None:
-            progress("overhead: disabled-telemetry and flight-recorder "
-                     "gates")
-        document["overhead"] = measure_overhead()
-    return document
-
-
-def validate_bench(document: Dict) -> List[str]:
-    """Structural problems with a BENCH document ([] when valid).
-
-    Checks what every readable schema carries and the dashboard reads:
-    ``/1`` entries also hold per-trial host timings, which nothing
-    reads any more.
-    """
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["document is not a JSON object"]
-    if document.get("schema") not in READABLE_SCHEMAS:
-        problems.append(f"schema is {document.get('schema')!r}, "
-                        f"expected one of {', '.join(READABLE_SCHEMAS)}")
-    if document.get("mode") not in ("full", "quick"):
-        problems.append("mode must be 'full' or 'quick'")
-    scenarios = document.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        problems.append("scenarios must be a non-empty object")
-        scenarios = {}
-    for name, entry in scenarios.items():
-        if not isinstance(entry, dict):
-            problems.append(f"{name}: entry is not an object")
-            continue
-        if not isinstance(entry.get("description"), str):
-            problems.append(f"{name}: description must be a string")
-        if not isinstance(entry.get("metrics"), dict):
-            problems.append(f"{name}: metrics must be an object")
-        elif not entry["metrics"]:
-            problems.append(f"{name}: metrics is empty")
-    overhead = document.get("overhead")
-    if overhead is not None:
-        if not isinstance(overhead, dict):
-            problems.append("overhead must be an object or null")
-        else:
-            for key in ("disabled_ratio", "budget", "ok"):
-                if key not in overhead:
-                    problems.append(f"overhead: missing {key}")
-    # Provenance is optional — BENCH files predating the stamp carry
-    # none — but when present it must at least be an object.
-    provenance = document.get("provenance")
-    if provenance is not None and not isinstance(provenance, dict):
-        problems.append("provenance must be an object when present")
-    return problems
-
-
-def bench_files(directory: Path) -> List[Path]:
-    """Existing BENCH_<n>.json files, ordered by index."""
-    found = []
-    for path in directory.iterdir():
-        match = BENCH_PATTERN.match(path.name)
-        if match:
-            found.append((int(match.group(1)), path))
-    return [path for _, path in sorted(found)]
-
-
-def next_bench_path(directory: Path) -> Path:
-    """The path the next BENCH file should be written to."""
-    existing = bench_files(directory)
-    if not existing:
-        return directory / "BENCH_0001.json"
-    last = int(BENCH_PATTERN.match(existing[-1].name).group(1))
-    return directory / f"BENCH_{last + 1:04d}.json"
-
-
-def write_bench(document: Dict, directory: Path) -> Path:
-    """Validate and write the next BENCH_<n>.json; returns its path."""
-    problems = validate_bench(document)
-    if problems:
-        raise ConfigurationError(
-            "refusing to write an invalid BENCH document: "
-            + "; ".join(problems))
-    path = next_bench_path(directory)
-    if path.exists():
-        # next_bench_path always indexes past the existing files, so
-        # hitting this means two writers raced for the same slot;
-        # refuse rather than clobber a result that was just produced.
-        raise ConfigurationError(
-            f"refusing to overwrite {path}; another bench run claimed "
-            f"this index concurrently — rerun to take the next slot")
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_bench(path: Path) -> Dict:
-    """Load and validate a BENCH file."""
-    document = json.loads(path.read_text())
-    problems = validate_bench(document)
-    if problems:
-        raise ConfigurationError(
-            f"{path} is not a valid BENCH file: " + "; ".join(problems))
-    return document

@@ -1,7 +1,7 @@
 """Deterministic parallel trial executor.
 
-Every harness — ``firefly-sim bench``, ``chaos``, ``serve``, ``sweep``
-and ``campaign run`` — reduces to the same shape of work: an ordered
+Every harness — ``firefly-sim chaos``, ``serve``, ``sweep`` and
+``campaign run`` — reduces to the same shape of work: an ordered
 list of seeded trials, each of which builds its entire simulated world
 from its seed and returns plain data.  Trials share no mutable state —
 every RNG stream is derived from the trial's own seed inside the trial —

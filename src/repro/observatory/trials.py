@@ -1,7 +1,7 @@
 """The trial-kind registry: every kind of seeded trial, declared once.
 
-``firefly-sim bench``, ``chaos``, ``serve``, ``sweep`` and ``campaign
-run`` all run *trials*: a :class:`TrialSpec` ``(kind, label, seed,
+``firefly-sim chaos``, ``serve``, ``sweep`` and ``campaign run`` all
+run *trials*: a :class:`TrialSpec` ``(kind, label, seed,
 params)`` is a small picklable value from which one trial rebuilds its
 whole simulated world.  :data:`TRIAL_KINDS` declares each kind once:
 

@@ -1,14 +1,12 @@
 """The static observatory dashboard (stdlib-only HTML).
 
 ``firefly-sim campaign report`` renders one self-contained HTML file —
-no server, no JavaScript, no external assets — from two inputs:
-
-- the committed ``BENCH_<n>.json`` files: the Table 1 sweep's §5.2
-  model residuals and the observability overhead gates of each file;
-- campaign ledgers from the :mod:`repro.campaign` store: trial
-  rollups, §5.2 divergence residuals from sweep/table1 results, and
-  the chaos recovery-time ledger (detect latency and recovery time per
-  injected fault).
+no server, no JavaScript, no external assets — from the campaign
+ledgers of the :mod:`repro.campaign` store: the §5.2 model residuals
+of each ``bench`` trial that carries them (the ``table1-sweep``
+canary), the sweep points, the chaos recovery-time ledger (detect
+latency and recovery time per injected fault), the flight-recorder
+counters of captured crash reports, and per-campaign trial rollups.
 
 Colors are declared once as CSS custom properties with selected light
 and dark steps (``prefers-color-scheme`` plus a ``data-theme``
@@ -98,19 +96,27 @@ def _esc(value) -> str:
     return _html.escape(str(value), quote=True)
 
 
-def _section_residuals(bench_docs: Sequence[Tuple[str, Dict]],
-                       campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
-    """§5.2 model residuals: measured bus load minus the prediction."""
-    residuals: Dict[str, Dict[int, float]] = {}
-    for file_name, doc in bench_docs:
-        metrics = doc.get("scenarios", {}) \
-            .get("table1-sweep", {}).get("metrics", {})
-        found = {int(key[2:key.index(".")]): value
-                 for key, value in metrics.items()
-                 if key.startswith("np") and key.endswith(".load_residual")}
-        if found:
-            label = file_name.replace("BENCH_", "").replace(".json", "")
-            residuals[label] = found
+def _section_residuals(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
+    """§5.2 model residuals: measured bus load minus the prediction.
+
+    One column per bench trial whose metrics carry
+    ``np<N>.load_residual``, keyed by (campaign, trial label) and headed
+    by both, so a quick and a full run, or two campaigns' runs of one
+    label, each keep their own column.  A label the ledger holds at
+    several revisions shows its last row.
+    """
+    residuals: Dict[Tuple[str, str], Dict[int, float]] = {}
+    for name, ledger_rows in campaigns:
+        for row in ledger_rows:
+            if row.get("kind") != "bench":
+                continue
+            metrics = row["result"].get("metrics", {})
+            found = {int(key[2:key.index(".")]): value
+                     for key, value in metrics.items()
+                     if key.startswith("np")
+                     and key.endswith(".load_residual")}
+            if found:
+                residuals[(name, row["label"])] = found
     counts = sorted({processors for found in residuals.values()
                      for processors in found})
     rows = []
@@ -121,12 +127,14 @@ def _section_residuals(bench_docs: Sequence[Tuple[str, Dict]],
         rows.append(f"<tr><td>{processors} CPU(s)</td>{cells}</tr>")
     parts = []
     if rows:
-        heads = "".join(f"<th>{_esc(label)}</th>" for label in residuals)
+        names = "".join(f"<th>{_esc(name)}</th>" for name, _ in residuals)
+        labels = "".join(f"<th>{_esc(label)}</th>" for _, label in residuals)
         parts.append(
             "<p class='sub'>measured bus load − analytic prediction at "
             "the Table 1 operating points; positive means the model "
             "underpredicts (the paper's §5.2 story)</p>"
-            f"<table><tr><th></th>{heads}</tr>{''.join(rows)}</table>")
+            f"<table><tr><th>campaign</th>{names}</tr>"
+            f"<tr><th>trial</th>{labels}</tr>{''.join(rows)}</table>")
     sweep_rows = [
         f"<tr><td>{_esc(name)}</td><td>{_esc(row['label'])}</td>"
         f"<td>{row['result'].get('bus_load', 0.0):.4f}</td>"
@@ -181,52 +189,12 @@ def _section_chaos(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
             + "".join(rows) + "</table>")
 
 
-def _gate_cells(overhead: Dict, gate: str) -> str:
-    """Median, bound and verdict cells of one overhead gate."""
-    ratio = overhead.get(f"{gate}_ratio")
-    if ratio is None:
-        return "<td>—</td><td>—</td><td></td>"
-    bound = overhead.get(f"{gate}_bound")
-    gated = ratio if bound is None else bound
-    chip = ("<span class='chip good'>OK</span>"
-            if gated <= 1.0 + overhead.get("budget", 0.0)
-            else "<span class='chip bad'>over</span>")
-    shown = "—" if bound is None else f"{(bound - 1.0) * 100:+.1f}%"
-    return (f"<td>{(ratio - 1.0) * 100:+.1f}%</td><td>{shown}</td>"
-            f"<td>{chip}</td>")
-
-
-def _section_observability(bench_docs: Sequence[Tuple[str, Dict]],
-                           campaigns: Sequence[Tuple[str, List[Dict]]]
+def _section_crash_reports(campaigns: Sequence[Tuple[str, List[Dict]]]
                            ) -> str:
-    """Observability health: overhead gates and ring-drop counters.
-
-    Per BENCH file, the disabled-telemetry and flight-recorder gates:
-    the median paired CPU-time ratio, its lower bound where the file
-    has one, and the verdict against the budget; per chaos trial that
-    captured a crash report, the recorder's ring counters (recorded /
-    kept / aged out) — the bounded buffers' ``dropped`` counters made
-    visible instead of silently overwriting.
+    """Per trial that captured a crash report, the flight recorder's
+    ring counters (recorded / kept / aged out) — the bounded buffer's
+    ``dropped`` counter made visible instead of silently overwriting.
     """
-    parts = []
-    rows = []
-    for file_name, doc in bench_docs:
-        overhead = doc.get("overhead")
-        if isinstance(overhead, dict):
-            rows.append(f"<tr><td class='mono'>{_esc(file_name)}</td>"
-                        + _gate_cells(overhead, "disabled")
-                        + _gate_cells(overhead, "recorder") + "</tr>")
-    if rows:
-        parts.append(
-            "<p class='sub'>host cost of the probe layer over a bare "
-            "run: disabled telemetry and the always-on flight recorder. "
-            "A gate fails when the lower bound on its median paired "
-            "ratio exceeds the budget (files without a bound were gated "
-            "on the ratio)</p>"
-            "<table><tr><th>BENCH file</th><th>disabled</th><th>bound</th>"
-            "<th></th><th>recorder</th><th>bound</th><th></th></tr>"
-            + "".join(rows) + "</table>")
-
     drop_rows = []
     for name, ledger_rows in campaigns:
         for row in ledger_rows:
@@ -241,17 +209,14 @@ def _section_observability(bench_docs: Sequence[Tuple[str, Dict]],
                 f"<td>{counters.get('recorded', '—')}</td>"
                 f"<td>{counters.get('kept', '—')}</td>"
                 f"<td>{counters.get('dropped', '—')}</td></tr>")
-    if drop_rows:
-        parts.append(
-            "<h3>captured crash reports</h3>"
-            "<p class='sub'>flight-recorder ring counters at capture "
+    if not drop_rows:
+        return "<p class='note'>no crash reports in the campaign ledgers</p>"
+    return ("<p class='sub'>flight-recorder ring counters at capture "
             "time (render with <span class='mono'>firefly-sim "
             "postmortem</span>)</p>"
             "<table><tr><th>campaign</th><th>trial</th>"
             "<th>recorded</th><th>kept</th><th>aged out</th></tr>"
             + "".join(drop_rows) + "</table>")
-    return "".join(parts) or ("<p class='note'>no overhead blocks or "
-                              "crash reports yet</p>")
 
 
 def _section_campaigns(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
@@ -280,34 +245,25 @@ def _section_campaigns(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
 # the document
 
 
-def render_dashboard(bench_docs: Sequence[Tuple[str, Dict]],
-                     campaigns: Sequence[Tuple[str, List[Dict]]] = (),
-                     title: str = "Firefly observatory"
-                     ) -> str:
+def render_dashboard(campaigns: Sequence[Tuple[str, List[Dict]]],
+                     title: str = "Firefly observatory") -> str:
     """The full dashboard HTML.
 
-    ``bench_docs`` are ``(file name, loaded BENCH document)`` in file
-    order; ``campaigns`` are ``(campaign name, ledger rows)``.  Output
-    is deterministic for identical inputs.
+    ``campaigns`` are ``(campaign name, ledger rows)``.  Output is
+    deterministic for identical inputs.
     """
-    bench_docs = list(bench_docs)
     campaigns = list(campaigns)
-    shas = sorted({str(doc.get("provenance", {}).get("git_sha"))[:12]
-                   for _, doc in bench_docs
-                   if isinstance(doc.get("provenance"), dict)
-                   and doc["provenance"].get("git_sha")})
-    provenance = (f"revisions {', '.join(shas)}" if shas
-                  else "no provenance stamps (pre-PR-6 BENCH files)")
+    trials = sum(len(ledger_rows) for _, ledger_rows in campaigns)
     sections = [
         f"<h1>{_esc(title)}</h1>",
-        f"<p class='sub'>{len(bench_docs)} BENCH file(s), "
-        f"{len(campaigns)} campaign ledger(s) · {_esc(provenance)}</p>",
+        f"<p class='sub'>{len(campaigns)} campaign ledger(s), "
+        f"{trials} trial(s)</p>",
         "<h2>Analytic-model divergence</h2>",
-        _section_residuals(bench_docs, campaigns),
+        _section_residuals(campaigns),
         "<h2>Chaos recovery ledger</h2>",
         _section_chaos(campaigns),
-        "<h2>Observability health</h2>",
-        _section_observability(bench_docs, campaigns),
+        "<h2>Captured crash reports</h2>",
+        _section_crash_reports(campaigns),
         "<h2>Campaigns</h2>",
         _section_campaigns(campaigns),
     ]

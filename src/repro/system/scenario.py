@@ -1,7 +1,7 @@
 """Pinned scenarios: named simulation runs with quick and full horizons.
 
-``firefly-sim bench``, ``chaos`` and ``serve`` each pin a table of
-scenarios of this one shape; the trial-kind registry
+The ``bench``, ``chaos`` and ``serve`` trial kinds each read a pinned
+table of scenarios of this one shape; the trial-kind registry
 (:mod:`repro.observatory.trials`) selects from those tables and runs a
 scenario as ``scenario.runner(scenario, scenario.horizon(quick), seed)``.
 What a runner returns is the kind's outcome: ``(cycles, metrics)`` for a

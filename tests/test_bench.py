@@ -1,130 +1,38 @@
-"""The pinned benchmark suite, its BENCH files and its overhead gates.
+"""The pinned bench canaries and the overhead gates.
 
-The suite's contract: schema-valid BENCH documents at the next free
-index, a pinned scenario registry, one run per scenario at the pinned
-seed whose entry is the bench trial's campaign record plus its
-description, and a loader that still reads the committed ``/1`` files.
-The overhead gates' contract, checked on injected timings: one warmup
-run is discarded, pairs alternate which configuration runs first, the
-bound is the 4th-smallest of 16 paired ratios, a configuration 10%
-slower fails while one 1% slower passes, and a failing gate names
-itself and fails ``firefly-sim bench``.  The slow mutation test proves
-the gates fail on real timings when every probe is forced live.
+The canaries' contract here is their registry: four pinned scenarios,
+each with a quick horizon shorter than its full one (the quick example
+campaign pins their records as golden digests).  The overhead gates'
+contract, checked on injected timings: one warmup run is discarded,
+pairs alternate which configuration runs first, the bound is the
+4th-smallest of 16 paired ratios, a configuration 10% slower fails
+while one 1% slower passes, and ``firefly-sim bench``, which takes no
+options, prints one line per gate and fails naming a failing gate.
+The slow mutation test proves the gates fail on real timings when
+every probe is forced live.
 """
 
 from __future__ import annotations
 
 import itertools
-from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.common.errors import ConfigurationError
-from repro.observatory import (
-    BENCH_SCHEMA,
-    bench,
-    bench_files,
-    load_bench,
-    next_bench_path,
-    run_suite,
-    scenario_names,
-    validate_bench,
-    write_bench,
-)
-from repro.observatory.bench import SCENARIOS, SEED
-from repro.observatory.trials import TrialSpec, run_trial
+from repro.observatory import SCENARIOS, bench
 from repro.system.scenario import Horizon
 from repro.telemetry.probe import TelemetryHub
 
 pytestmark = pytest.mark.observatory
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-def synthetic_bench(names):
-    """A schema-valid BENCH document with one entry per name."""
-    scenarios = {name: {"description": name, "seed": SEED,
-                        "cycles": 100_000, "metrics": {"bus_load": 0.5}}
-                 for name in names}
-    return {"schema": BENCH_SCHEMA, "mode": "full",
-            "host": {"platform": "test", "python": "3", "machine": "x"},
-            "scenarios": scenarios, "overhead": None}
-
-
-# -- schema validation and file handling --------------------------------
-
-
-class TestBenchFiles:
-    def test_synthetic_document_is_schema_valid(self):
-        document = synthetic_bench(["a"])
-        assert document["schema"] == "firefly-bench/2"
-        assert validate_bench(document) == []
-
-    def test_validation_catches_damage(self):
-        doc = synthetic_bench(["a"])
-        doc["schema"] = "nonsense/9"
-        del doc["scenarios"]["a"]["description"]
-        doc["scenarios"]["a"]["metrics"] = {}
-        problems = validate_bench(doc)
-        assert any("schema" in p for p in problems)
-        assert any("description" in p for p in problems)
-        assert any("metrics" in p for p in problems)
-
-    def test_committed_version_1_files_still_load(self):
-        """BENCH_0001-0003 predate the one-run entry: ``/1`` entries
-        carry per-trial host timings.  The loader reads them beside
-        ``/2`` documents."""
-        for n in (1, 2, 3):
-            document = load_bench(REPO_ROOT / f"BENCH_000{n}.json")
-            assert document["schema"] == "firefly-bench/1"
-            assert "trials" in document["scenarios"]["exerciser-1cpu"]
-
-    def test_write_refuses_invalid_document(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            write_bench({"schema": "bad"}, tmp_path)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_bench_files_order_and_next_index(self, tmp_path):
-        assert next_bench_path(tmp_path).name == "BENCH_0001.json"
-        for n in (3, 1, 10):
-            (tmp_path / f"BENCH_{n:04d}.json").write_text("{}")
-        (tmp_path / "BENCH_readme.txt").write_text("not a bench")
-        names = [p.name for p in bench_files(tmp_path)]
-        assert names == ["BENCH_0001.json", "BENCH_0003.json",
-                         "BENCH_0010.json"]
-        assert next_bench_path(tmp_path).name == "BENCH_0011.json"
-
+class TestCanaries:
     def test_pinned_scenario_registry(self):
-        assert scenario_names() == ["exerciser-1cpu", "exerciser-5cpu",
-                                    "table1-sweep", "core-microbench"]
+        assert [scenario.name for scenario in SCENARIOS] \
+            == ["exerciser-1cpu", "exerciser-5cpu", "table1-sweep",
+                "core-microbench"]
         for scenario in SCENARIOS:
             assert scenario.quick.total < scenario.full.total
-
-
-# -- real runs ----------------------------------------------------------
-
-
-class TestBenchRuns:
-    def test_entry_is_the_campaign_record_plus_description(self):
-        scenario = next(s for s in SCENARIOS if s.name == "core-microbench")
-        document = run_suite(quick=True, scenarios=[scenario.name],
-                             skip_overhead=True)
-        entry = document["scenarios"][scenario.name]
-        assert sorted(entry) == ["cycles", "description", "metrics", "seed"]
-        record = run_trial(TrialSpec(
-            "bench", f"bench/{scenario.name}/quick/s{SEED}", SEED,
-            {"scenario": scenario.name, "quick": True}))
-        assert entry == dict(record, description=scenario.description)
-        assert entry["seed"] == SEED
-        assert entry["cycles"] == scenario.quick.total
-        assert entry["metrics"]["events_scheduled"] > 0
-
-    def test_cli_rejects_unknown_scenario(self, tmp_path, capsys):
-        code = main(["bench", "--scenario", "does-not-exist",
-                     "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert "unknown bench scenario" in capsys.readouterr().err
 
 
 # -- overhead gates -----------------------------------------------------
@@ -187,21 +95,33 @@ class TestOverheadGates:
         for gate in ("disabled", "recorder"):
             assert block[f"{gate}_bound"] == pytest.approx(1.03)
             assert block[f"{gate}_ratio"] == pytest.approx(1.075)
-        assert validate_bench(dict(synthetic_bench(["a"]),
-                                   overhead=block)) == []
 
-    def test_failing_gate_fails_bench(self, tmp_path, monkeypatch, capsys):
+    def test_failing_gate_fails_bench(self, monkeypatch, capsys):
         inject_timings(monkeypatch, disabled=[1.01], recorder=[1.10])
-        code = main(["bench", "--quick", "--scenario", "core-microbench",
-                     "--out-dir", str(tmp_path)])
-        assert code == 1
+        assert main(["bench"]) == 1
         out, err = capsys.readouterr()
-        assert "disabled overhead gate: median ratio 1.010, bound 1.010 " \
-               "over 16 pairs (budget 2%)" in out
-        assert "error: recorder overhead gate: median ratio 1.100, " \
-               "bound 1.100 over 16 pairs (budget 2%) exceeds its " \
-               "budget" in err
-        assert (tmp_path / "BENCH_0001.json").exists()
+        assert out == ("disabled overhead gate: median ratio 1.010, "
+                       "bound 1.010 over 16 pairs (budget 2%)\n")
+        assert err == ("error: recorder overhead gate: median ratio "
+                       "1.100, bound 1.100 over 16 pairs (budget 2%) "
+                       "exceeds its budget\n")
+
+    def test_passing_gates_pass_bench(self, monkeypatch, capsys):
+        inject_timings(monkeypatch, disabled=[1.01], recorder=[1.0])
+        assert main(["bench"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "disabled overhead gate: median ratio 1.010, bound 1.010 "
+            "over 16 pairs (budget 2%)",
+            "recorder overhead gate: median ratio 1.000, bound 1.000 "
+            "over 16 pairs (budget 2%)"]
+        assert err == ""
+
+    def test_bench_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_live_probes_fail_both_gates(self, monkeypatch):

@@ -9,9 +9,9 @@ The load-bearing claims:
   the ledger holds, and the merged report is **byte-identical** to an
   uninterrupted run at any job count;
 - golden digests turn silent result drift into a named failure;
-- the HTML dashboard renders the committed BENCH files' residuals
-  (each cell under its own file) and overhead gates, and no host-speed
-  verdict, from stdlib templating alone.
+- the HTML dashboard renders from the ledgers alone: each bench
+  trial's §5.2 residuals under its own (campaign, trial label) column,
+  and no host-speed verdict, from stdlib templating alone.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from repro.campaign import (
 )
 from repro.campaign.spec import CAMPAIGN_SCHEMA
 from repro.common.errors import ConfigurationError
-from repro.common.provenance import (
-    content_hash,
-    git_sha,
-    provenance_stamp,
-)
+from repro.common.provenance import content_hash, git_sha
 from repro.observatory.runner import TrialFailure
 from repro.observatory.trials import TrialSpec, run_trial
 from repro.reporting import render_dashboard
@@ -100,37 +96,6 @@ class TestProvenance:
 
     def test_git_sha_outside_a_checkout(self, tmp_path):
         assert git_sha(tmp_path) is None
-
-    def test_stamp_shape(self):
-        stamp = provenance_stamp({"x": 1}, schema="demo/1", sha="abc")
-        assert stamp == {"git_sha": "abc", "schema": "demo/1",
-                         "config_hash": content_hash({"x": 1})}
-
-    def test_old_bench_files_without_provenance_still_load(self):
-        from repro.observatory.bench import load_bench
-
-        document = load_bench(REPO_ROOT / "BENCH_0001.json")
-        assert "provenance" not in document
-
-    def test_validate_bench_rejects_non_object_provenance(self):
-        from repro.observatory.bench import load_bench, validate_bench
-
-        document = load_bench(REPO_ROOT / "BENCH_0002.json")
-        document["provenance"] = "not-an-object"
-        assert any("provenance" in problem
-                   for problem in validate_bench(document))
-
-    @pytest.mark.slow
-    def test_run_suite_stamps_provenance(self):
-        from repro.observatory.bench import (BENCH_SCHEMA, run_suite,
-                                             validate_bench)
-
-        document = run_suite(quick=True, scenarios=["exerciser-1cpu"],
-                             skip_overhead=True)
-        stamp = document["provenance"]
-        assert stamp["schema"] == BENCH_SCHEMA
-        assert stamp["config_hash"].startswith("sha256:")
-        assert validate_bench(document) == []
 
 
 # ---------------------------------------------------------------------------
@@ -476,62 +441,68 @@ class TestWorker:
 # the dashboard
 
 
-def bench_doc(residuals=None, overhead=None):
-    """A schema-valid BENCH document; ``residuals`` maps processor
-    counts to the table1-sweep scenario's load residuals."""
-    entry = {"description": "d", "seed": 1987, "cycles": 1000,
-             "metrics": {"bus_load": 0.5}}
-    document = {"schema": "firefly-bench/2", "mode": "quick",
-                "scenarios": {"exerciser-1cpu": entry},
-                "overhead": overhead}
-    if residuals:
-        document["scenarios"]["table1-sweep"] = dict(entry, metrics={
-            f"np{processors}.load_residual": value
-            for processors, value in residuals.items()})
-    return document
+def bench_row(label, residuals):
+    """A bench ledger row; ``residuals`` maps processor counts to the
+    ``np<N>.load_residual`` metrics the table1-sweep canary records."""
+    metrics = {f"np{processors}.load_residual": value
+               for processors, value in residuals.items()}
+    return {"kind": "bench", "label": label, "git_sha": "abc",
+            "result": {"seed": 1987, "cycles": 1000, "metrics": metrics}}
 
 
 class TestDashboard:
     def test_improvement_and_residuals(self):
         # The dashboard passes no verdict on host speed, only on the
         # simulated residuals.
-        html = render_dashboard([
-            ("BENCH_0001.json", bench_doc({2: 0.02})),
-            ("BENCH_0002.json", bench_doc({2: 0.04})),
-        ])
+        html = render_dashboard([("camp", [
+            bench_row("bench/table1-sweep/quick/s1", {2: 0.02}),
+            bench_row("bench/table1-sweep/quick/s2", {2: 0.04}),
+        ])])
         assert "improvement" not in html and "regression" not in html
         assert "<svg" not in html
-        assert "<tr><th></th><th>0001</th><th>0002</th></tr>" in html
+        assert ("<tr><th>trial</th><th>bench/table1-sweep/quick/s1</th>"
+                "<th>bench/table1-sweep/quick/s2</th></tr>") in html
         assert "<tr><td>2 CPU(s)</td><td>+0.0200</td><td>+0.0400</td>" \
                "</tr>" in html
 
     def test_residual_cells_keyed_by_file(self):
-        # A quick file carries np2/np4 only; the full one adds np6, and
-        # its np6 residual must sit under its own column.
+        # Two campaigns' ledger files hold the same label; each keeps
+        # its own column, and np6, which only the second carries, sits
+        # under that column.
+        label = "bench/table1-sweep/full/s1987"
         html = render_dashboard([
-            ("BENCH_0001.json", bench_doc({2: 0.01, 4: 0.02})),
-            ("BENCH_0002.json", bench_doc({2: 0.03, 4: 0.04, 6: 0.206})),
+            ("camp-a", [bench_row(label, {2: 0.01, 4: 0.02})]),
+            ("camp-b", [bench_row(label, {2: 0.03, 4: 0.04, 6: 0.206})]),
         ])
+        assert ("<tr><th>campaign</th><th>camp-a</th><th>camp-b</th>"
+                f"</tr><tr><th>trial</th><th>{label}</th><th>{label}</th>"
+                "</tr>") in html
         assert "<tr><td>2 CPU(s)</td><td>+0.0100</td><td>+0.0300</td>" \
                "</tr>" in html
         assert "<tr><td>6 CPU(s)</td><td>—</td><td>+0.2060</td></tr>" \
             in html
 
-    def test_overhead_rows_show_bound_where_present(self):
-        legacy = {"disabled_ratio": 0.79, "budget": 0.02, "ok": True}
-        paired = {"disabled_ratio": 0.99, "disabled_bound": 0.97,
-                  "recorder_ratio": 1.05, "recorder_bound": 1.03,
-                  "budget": 0.02, "pairs": 16, "ok": False}
-        html = render_dashboard([
-            ("BENCH_0001.json", bench_doc(overhead=legacy)),
-            ("BENCH_0002.json", bench_doc(overhead=paired)),
-        ])
-        ok = "<span class='chip good'>OK</span>"
-        over = "<span class='chip bad'>over</span>"
-        assert (f"<td>-21.0%</td><td>—</td><td>{ok}</td>"
-                "<td>—</td><td>—</td><td></td>") in html
-        assert (f"<td>-1.0%</td><td>-3.0%</td><td>{ok}</td>"
-                f"<td>+5.0%</td><td>+3.0%</td><td>{over}</td>") in html
+    def test_quick_and_full_table1_sweep_get_their_own_columns(
+            self, tmp_path):
+        # Real canary runs through the ledger: the quick horizon's
+        # residuals must not read as the next point after the full one.
+        spec = parse_spec({
+            "schema": CAMPAIGN_SCHEMA, "name": "residuals",
+            "seeds": [1987],
+            "matrix": [{"kind": "bench", "scenarios": ["table1-sweep"],
+                        "quick": quick} for quick in (True, False)]})
+        store = CampaignStore(tmp_path)
+        run_campaign_spec(spec, store)
+        html = render_dashboard(
+            [("residuals", list(store.load("residuals").rows.values()))])
+        assert ("<tr><th>trial</th><th>bench/table1-sweep/quick/s1987</th>"
+                "<th>bench/table1-sweep/full/s1987</th></tr>") in html
+        assert "<tr><td>2 CPU(s)</td><td>+0.0732</td><td>-0.0014</td>" \
+               "</tr>" in html
+        assert "<tr><td>4 CPU(s)</td><td>+0.0672</td><td>-0.0206</td>" \
+               "</tr>" in html
+        assert "<tr><td>6 CPU(s)</td><td>—</td><td>-0.0080</td></tr>" \
+            in html
 
     def test_chaos_ledger_rows(self):
         rows = [{"kind": "chaos", "label": "chaos/bus-parity/quick/s1",
@@ -542,57 +513,18 @@ class TestDashboard:
                                  "detected_at": 130,
                                  "recovered_at": 190,
                                  "outcome": "retried"}]}}]
-        html = render_dashboard([], [("camp", rows)])
+        html = render_dashboard([("camp", rows)])
         assert "bus-corrupt" in html
         assert "<td>30</td>" in html       # detect latency
         assert "<td>60</td>" in html       # recovery time
 
     def test_escapes_untrusted_names(self):
-        html = render_dashboard(
-            [], [("<script>alert(1)</script>", [])])
+        html = render_dashboard([("<script>alert(1)</script>", [])])
         assert "<script>alert(1)" not in html
 
     def test_deterministic_output(self):
-        docs = [("BENCH_0001.json", bench_doc({2: 0.01}))]
-        assert render_dashboard(docs) == render_dashboard(docs)
-
-    def test_renders_committed_trajectory(self):
-        from repro.observatory.bench import bench_files, load_bench
-
-        docs = [(path.name, load_bench(path))
-                for path in bench_files(REPO_ROOT)]
-        assert len(docs) >= 3
-        html = render_dashboard(docs)
-        for processors in (2, 4, 6):
-            assert f"<td>{processors} CPU(s)</td>" in html
-        # Every committed file's overhead block has a row; they predate
-        # the paired gates, so none shows a bound.
-        for name, _ in docs:
-            assert f"<tr><td class='mono'>{name}</td>" in html
-        assert "<td>+3.2%</td><td>—</td>" in html  # BENCH_0001 disabled
-
-
-    def test_renders_version_1_files_beside_a_version_2_file(
-            self, tmp_path):
-        from repro.observatory.bench import (bench_files, load_bench,
-                                             write_bench)
-
-        for path in bench_files(REPO_ROOT)[:3]:
-            (tmp_path / path.name).write_text(path.read_text())
-        paired = {"disabled_ratio": 0.99, "disabled_bound": 0.97,
-                  "recorder_ratio": 1.01, "recorder_bound": 1.0,
-                  "budget": 0.02, "pairs": 16, "ok": True}
-        written = write_bench(bench_doc({2: 0.07, 4: 0.06},
-                                        overhead=paired), tmp_path)
-        assert written.name == "BENCH_0004.json"
-        html = render_dashboard([(path.name, load_bench(path))
-                                 for path in bench_files(tmp_path)])
-        assert ("<tr><th></th><th>0001</th><th>0002</th><th>0003</th>"
-                "<th>0004</th></tr>") in html
-        assert "<td>+0.0700</td></tr>" in html
-        for n in range(1, 5):
-            assert f"<tr><td class='mono'>BENCH_000{n}.json</td>" in html
-        assert "<td>-1.0%</td><td>-3.0%</td>" in html
+        campaigns = [("camp", [bench_row("bench/t/quick/s1", {2: 0.01})])]
+        assert render_dashboard(campaigns) == render_dashboard(campaigns)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +574,17 @@ class TestCli:
         out_html = tmp_path / "dash.html"
         assert self.run_cli("campaign", "report",
                             "--store-dir", str(store),
-                            "--bench-dir", str(REPO_ROOT),
                             "--out", str(out_html)) == 0
+        assert "1 ledger(s) (2 trial(s))" in capsys.readouterr().out
         html = out_html.read_text()
-        assert "cli-camp" in html and "BENCH_0003.json" in html
+        assert "cli-camp" in html and "BENCH" not in html
 
         # overwrite guard: refuse, then --force succeeds
         assert self.run_cli("campaign", "report",
                             "--store-dir", str(store),
-                            "--bench-dir", str(REPO_ROOT),
                             "--out", str(out_html)) == 1
         assert self.run_cli("campaign", "report",
                             "--store-dir", str(store),
-                            "--bench-dir", str(REPO_ROOT),
                             "--out", str(out_html), "--force") == 0
 
     def test_golden_drift_fails_naming_the_trial(self, tmp_path,

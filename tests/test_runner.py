@@ -19,9 +19,9 @@ import time
 import pytest
 
 from repro.faults.chaos import run_campaign
-from repro.observatory.bench import run_suite
 from repro.observatory.runner import TrialFailure, run_ordered, run_sweep
-from repro.observatory.trials import TrialSpec, run_trial
+from repro.observatory.trials import (TrialSpec, expand_group, run_trial,
+                                      run_trials, validate_group)
 
 pytestmark = pytest.mark.observatory
 
@@ -171,11 +171,13 @@ class TestByteIdentity:
         assert serial.render() == parallel.render()
 
     def test_bench_simulated_content_identical_across_jobs(self):
-        """Without the overhead gates a BENCH document holds no host
-        timing, so it is the same document at any job count."""
-        kw = dict(quick=True, scenarios=["exerciser-1cpu", "core-microbench"],
-                  skip_overhead=True)
-        assert run_suite(jobs=1, **kw) == run_suite(jobs=2, **kw)
+        """A bench trial's record holds no host timing, so a bench
+        group's records are the same at any job count."""
+        group = validate_group({"kind": "bench", "seeds": [1987],
+                                "scenarios": ["exerciser-1cpu",
+                                              "core-microbench"]}, "bench")
+        trials = expand_group(group, ())
+        assert run_trials(trials, jobs=1) == run_trials(trials, jobs=2)
 
 
 class TestSweepValidation:

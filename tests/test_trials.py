@@ -1,4 +1,4 @@
-"""The one trial pipeline under bench, chaos, serve, sweep and campaign.
+"""The one trial pipeline under chaos, serve, sweep and campaign.
 
 Every harness expands its trials through the registry in
 :mod:`repro.observatory.trials` and runs them through one
@@ -21,7 +21,6 @@ from repro.campaign.spec import CAMPAIGN_SCHEMA
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.faults.chaos import run_campaign
-from repro.observatory.bench import run_suite
 from repro.observatory.runner import TrialFailure, run_sweep
 from repro.observatory.trials import TRIAL_KINDS
 from repro.serving.engine import run_serve_campaign
@@ -33,14 +32,29 @@ def _explode(trial):
     raise ValueError("scenario exploded")
 
 
-def _campaign(tmp_path):
-    """A campaign of two chaos trials, as a parsed spec and a spec file."""
-    data = {"schema": CAMPAIGN_SCHEMA, "name": "boom", "seeds": [1987],
-            "matrix": [{"kind": "chaos",
-                        "scenarios": ["bus-parity", "cpu-offline"]}]}
-    path = tmp_path / "boom.json"
+def _spec_data(kind, scenarios):
+    """A one-group campaign naming pinned scenarios of one kind."""
+    return {"schema": CAMPAIGN_SCHEMA, "name": kind, "seeds": [1987],
+            "matrix": [{"kind": kind, "scenarios": scenarios}]}
+
+
+def _spec_file(tmp_path, data):
+    path = tmp_path / f"{data['name']}.json"
     path.write_text(json.dumps(data))
-    return parse_spec(data), path
+    return path
+
+
+def _campaign_harness(tmp_path, kind, scenarios):
+    """A campaign of two pinned trials: (kind, API call at ``jobs``,
+    CLI argv, failing label)."""
+    data = _spec_data(kind, scenarios)
+    spec = parse_spec(data)
+    store = CampaignStore(tmp_path / f"{kind}-store")
+    return (kind,
+            lambda jobs: run_campaign_spec(spec, store, jobs=jobs),
+            ["campaign", "run", str(_spec_file(tmp_path, data)),
+             "--store-dir", str(tmp_path / f"{kind}-cli-store")],
+            f"{kind}/{scenarios[0]}/quick/s1987")
 
 
 def _harnesses(tmp_path):
@@ -48,19 +62,9 @@ def _harnesses(tmp_path):
 
     Each runs two trials, so ``jobs=2`` really fans out.
     """
-    spec, spec_path = _campaign(tmp_path)
-    store = CampaignStore(tmp_path / "store")
     return {
-        "bench": (
-            "bench",
-            lambda jobs: run_suite(quick=True,
-                                   scenarios=["core-microbench",
-                                              "exerciser-1cpu"],
-                                   skip_overhead=True, jobs=jobs),
-            ["bench", "--quick", "--scenario", "core-microbench",
-             "--scenario", "exerciser-1cpu", "--skip-overhead",
-             "--out-dir", str(tmp_path)],
-            "bench/core-microbench/quick/s1987"),
+        "bench": _campaign_harness(tmp_path, "bench",
+                                   ["core-microbench", "exerciser-1cpu"]),
         "chaos": (
             "chaos",
             lambda jobs: run_campaign(quick=True, jobs=jobs,
@@ -84,12 +88,8 @@ def _harnesses(tmp_path):
             ["sweep", "--processors", "1,2", "--seeds", "1987",
              "--warmup-cycles", "100", "--measure-cycles", "100"],
             "sweep/np1/firefly/microvax/s1987"),
-        "campaign": (
-            "chaos",
-            lambda jobs: run_campaign_spec(spec, store, jobs=jobs),
-            ["campaign", "run", str(spec_path), "--store-dir",
-             str(tmp_path / "cli-store")],
-            "chaos/bus-parity/quick/s1987"),
+        "campaign": _campaign_harness(tmp_path, "chaos",
+                                      ["bus-parity", "cpu-offline"]),
     }
 
 
@@ -120,8 +120,7 @@ class TestFailureNaming:
 
 class TestScenarioSelection:
     @pytest.mark.parametrize("command, run, name", [
-        ("bench", lambda names: run_suite(quick=True, scenarios=names,
-                                          skip_overhead=True),
+        ("bench", lambda names: parse_spec(_spec_data("bench", names)),
          "core-microbench"),
         ("chaos", lambda names: run_campaign(quick=True, scenarios=names),
          "bus-parity"),
@@ -136,9 +135,13 @@ class TestScenarioSelection:
         message = f"{command} scenario(s) {name} named more than once"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             run([name, name])
-        argv = [command, "--quick", "--scenario", name, "--scenario", name]
         if command == "bench":
-            argv += ["--out-dir", str(tmp_path)]
+            spec = _spec_file(tmp_path, _spec_data("bench", [name, name]))
+            argv = ["campaign", "run", str(spec),
+                    "--store-dir", str(tmp_path / "store")]
+        else:
+            argv = [command, "--quick", "--scenario", name,
+                    "--scenario", name]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path / "store").exists()
