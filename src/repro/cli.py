@@ -791,12 +791,13 @@ def _cmd_campaign(args) -> int:
 
     if args.campaign_command == "report":
         from repro.reporting import render_dashboard
+        from repro.reporting.html import latest_rows
 
         _guard_output(args.out, args.force, "--out")
         ledgers = [(name, list(store.load(name).rows.values()))
                    for name in store.campaigns()]
         Path(args.out).write_text(render_dashboard(ledgers))
-        trials = sum(len(rows) for _, rows in ledgers)
+        trials = sum(len(latest_rows(rows)) for _, rows in ledgers)
         print(f"campaign report: {len(ledgers)} ledger(s) "
               f"({trials} trial(s)) -> {args.out}")
         return 0

@@ -33,32 +33,25 @@ Example
 >>> log
 [5]
 
-Event wheel
+Event queue
 -----------
-Pending events live in a calendar-queue **event wheel** tuned for the
-dominant fixed-latency events (bus transfer slots, interned timeouts,
-scheduler quanta).  It pops events in ``(time, seq)`` order, exactly as
-a binary heap keyed on ``(time, seq)`` would; the heap survives only as
-the test-suite's oracle (``tests/test_engine_equivalence.py`` swaps it
-in and requires identical pop order, metrics and telemetry).  See
-docs/PERFORMANCE.md for the wheel design (bucket width, overflow heap,
-rotation cost).
+Pending events live in one binary heap of ``(time, seq, proc, value,
+callback)`` tuples.  ``seq`` is the simulator's global schedule
+counter and unique, so events pop in ``(time, seq)`` order: same-time
+events resume in scheduling order and the payload fields never take
+part in a comparison.  The models keep only a handful of events
+pending at once, so a plain ``heapq`` list is the whole structure; see
+docs/PERFORMANCE.md for the measurements.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
 
-#: Slots in the event wheel (one simulated tick per slot).  Power of
-#: two so slot indexing is a mask.  Delays below this land directly in
-#: a slot; longer delays wait in the overflow heap and migrate as the
-#: wheel rotates.  1024 covers every fixed hardware latency in the
-#: models (bus cycles, tick widths, scheduler quanta) with room to
-#: spare, while keeping a full empty-wheel rotation scan cheap.
-WHEEL_SIZE = 1024
 
 class Event:
     """A one-shot condition that processes can wait on.
@@ -174,19 +167,17 @@ class Process:
                 sim._schedule(0, j, self._result)
             return
         # Timeouts dominate every workload (one per simulated tick), so
-        # that branch is checked first and its scheduling goes straight
-        # through the wheel's pre-bound push — no _schedule() frame, no
-        # negative-delay re-check (the _Timeout constructor already
-        # validated the delay).
+        # that branch is checked first and pushes onto the heap itself —
+        # no _schedule() frame, no negative-delay re-check (the _Timeout
+        # constructor already validated the delay).
         if waitable.__class__ is _Timeout:
             self._blocked_on = "timeout"
             sim._seq += 1
-            sim._push(sim.now + waitable.delay, sim._seq, self,
-                      waitable.value, None)
+            heappush(sim._sched, (sim.now + waitable.delay, sim._seq, self,
+                                  waitable.value, None))
         elif waitable.__class__ is _AcquireRequest:
             # Second-hottest waitable (one per bus transaction); exact
-            # class check, mirroring the timeout branch.  The isinstance
-            # fallback below keeps hypothetical subclasses working.
+            # class check, mirroring the timeout branch.
             self._blocked_on = waitable.resource._blocked_label
             self._blocked_obj = waitable.resource
             waitable.resource._enqueue(waitable, self)
@@ -197,10 +188,6 @@ class Process:
             self._blocked_on = f"join:{waitable.name}"
             self._blocked_obj = waitable
             waitable._add_waiter(self)
-        elif isinstance(waitable, _AcquireRequest):
-            self._blocked_on = waitable.resource._blocked_label
-            self._blocked_obj = waitable.resource
-            waitable.resource._enqueue(waitable, self)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported waitable {waitable!r}"
@@ -304,194 +291,22 @@ class Resource:
         self._sim._schedule(0, proc, self)
 
 
-class _WheelScheduler:
-    """A calendar-queue event wheel with an overflow heap.
-
-    ``size`` slots of one simulated tick each; an event ``delay`` ticks
-    out lands in slot ``time & mask`` when ``delay < size`` (the
-    overwhelmingly common case: bus transfer slots, interned timeouts,
-    scheduler quanta are all small fixed latencies), else waits in a
-    binary heap of far-future events and migrates into a slot once the
-    wheel's rotation brings it inside the horizon.
-
-    Order contract (the whole point): pops occur in exactly ``(time,
-    seq)`` order, as from a binary heap of the same entries.  The
-    invariants that guarantee it:
-
-    - every pending slotted entry has ``now <= time < now + size``, so
-      within one rotation each residue class maps to exactly *one*
-      pending timestamp — a slot never mixes timestamps;
-    - same-slot entries are appended in increasing ``seq`` (the global
-      schedule counter), except entries migrating from the overflow
-      heap, which may arrive out of order — so a multi-entry slot is
-      (cheaply, usually already-sorted) sorted before dispatch;
-    - entries scheduled for the *current* timestamp while its slot is
-      being drained append behind the cursor and are dispatched in the
-      same pass, exactly as a heap would pop them.
-
-    Cost model: push is O(1) (append) for in-horizon delays, O(log f)
-    for the far-future fraction f; pop is O(1) amortised plus the
-    empty-slot rotation scan, which is bounded by one slot check per
-    elapsed simulated tick — negligible for the dense event populations
-    the models generate (the exerciser dispatches roughly one event per
-    tick) and bounded by ``size`` checks even for a lone sleeper.
-    """
-
-    __slots__ = ("_sim", "_size", "_mask", "_slots", "_overflow", "_count")
-
-    def __init__(self, sim: "Simulator") -> None:
-        # Read at construction, not bound as a default, so the tests can
-        # shrink the wheel to force overflow churn.
-        size = WHEEL_SIZE
-        self._sim = sim
-        self._size = size
-        self._mask = size - 1
-        self._slots: List[List[Tuple]] = [[] for _ in range(size)]
-        self._overflow: List[Tuple] = []
-        self._count = 0  # entries currently in slots (not overflow)
-
-    def __len__(self) -> int:
-        return self._count + len(self._overflow)
-
-    def push(self, time: int, seq: int, proc: Optional[Process],
-             value: Any, callback: Optional[Callable[[], None]]) -> None:
-        # Horizon test against sim.now: pushes only ever happen with the
-        # clock at the instant of the causing event, so ``now`` is the
-        # wheel cursor.  Entries admitted here satisfy
-        # ``time < now + size``, preserving the one-timestamp-per-slot
-        # invariant documented above.
-        if time - self._sim.now < self._size:
-            self._slots[time & self._mask].append(
-                (time, seq, proc, value, callback))
-            self._count += 1
-        else:
-            heappush(self._overflow, (time, seq, proc, value, callback))
-
-    def peek(self) -> Optional[int]:
-        """Next pending timestamp without dispatching (not a hot path)."""
-        soonest: Optional[int] = None
-        if self._count:
-            slots, mask = self._slots, self._mask
-            cur = self._sim.now
-            for _ in range(self._size):
-                slot = slots[cur & mask]
-                if slot:
-                    soonest = slot[0][0]
-                    break
-                cur += 1
-        if self._overflow:
-            head = self._overflow[0][0]
-            if soonest is None or head < soonest:
-                soonest = head
-        return soonest
-
-    def drain(self, sim: "Simulator", limit: Optional[int]) -> None:
-        """Dispatch events in ``(time, seq)`` order; all of them
-        (``limit=None``) or only those with ``time <= limit``.
-
-        One loop body for both :meth:`Simulator.run` and
-        :meth:`Simulator.run_until`.  Each
-        outer iteration migrates newly in-horizon overflow entries,
-        finds the next populated slot, and dispatches that entire
-        timestamp in one pass — ``sim.now`` is written once per
-        timestamp, not once per event, and same-tick reschedules
-        (event fires, resource grants, zero-delay timeouts) append
-        behind the cursor with no heap traffic at all.
-        """
-        slots = self._slots
-        mask = self._mask
-        size = self._size
-        overflow = self._overflow
-        pop = heappop
-        cur = sim.now
-        while True:
-            count = self._count
-            if overflow:
-                # Rotation brought some far-future entries inside the
-                # horizon: move them into their slots.  Migration can
-                # land behind pending same-time entries with higher
-                # seq; the pre-dispatch sort below restores order.
-                head = overflow[0][0]
-                while head - cur < size:
-                    entry = pop(overflow)
-                    slots[entry[0] & mask].append(entry)
-                    count += 1
-                    if not overflow:
-                        break
-                    head = overflow[0][0]
-                self._count = count
-            if count == 0:
-                if not overflow:
-                    break
-                # Wheel empty: jump straight to the overflow head (a
-                # lone far-future timer costs no rotation scan at all).
-                head = overflow[0][0]
-                if limit is not None and head > limit:
-                    break
-                cur = head
-                continue
-            # Find the next populated slot.  Bounded by one rotation:
-            # every pending slotted entry lies within [cur, cur + size).
-            slot = slots[cur & mask]
-            if not slot:
-                end = cur + size
-                while True:
-                    cur += 1
-                    slot = slots[cur & mask]
-                    if slot:
-                        break
-                    if cur >= end:  # pragma: no cover - invariant guard
-                        raise SimulationError(
-                            "event wheel lost track of pending events")
-            time = slot[0][0]
-            if limit is not None and time > limit:
-                break
-            if len(slot) > 1:
-                # Usually already sorted (append order == seq order);
-                # Timsort makes this one comparison per entry.  Tuples
-                # compare by (time, seq) and seq is unique, so the
-                # payload fields never participate.
-                slot.sort()
-            sim.now = time
-            index = 0
-            # len(slot) is re-read every iteration on purpose: handlers
-            # scheduling work for *this* timestamp append to this very
-            # slot, and a heap would dispatch those too.
-            while index < len(slot):
-                entry = slot[index]
-                index += 1
-                callback = entry[4]
-                if callback is None:
-                    proc = entry[2]
-                    if proc is not None:
-                        proc._step(entry[3])
-                else:
-                    sim._current = None
-                    callback()
-            slot.clear()
-            # Handlers may have pushed entries for other slots too, so
-            # reconcile against the authoritative counter.
-            self._count -= index
-            cur += 1
-
-
 class Simulator:
-    """The event loop: an integer clock plus the pending-event wheel.
+    """The event loop: an integer clock plus the pending-event heap.
 
     The kernel distinguishes *processes* (coroutines stepped by the
     loop) from *callbacks* (bare functions, used by periodic hardware
     like the MDC's poll timer).
     """
 
-    __slots__ = ("now", "_sched", "_push", "_seq", "_live", "_timeouts",
-                 "_current")
+    __slots__ = ("now", "_sched", "_seq", "_live", "_timeouts", "_current")
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._sched = _WheelScheduler(self)
-        #: The wheel's push, pre-bound: _step and _schedule call this
-        #: once per scheduled event.
-        self._push = self._sched.push
+        #: Pending events: a binary heap of ``(time, seq, proc, value,
+        #: callback)`` tuples (see the module docstring).
+        self._sched: List[Tuple] = []
+        #: Events scheduled so far; also the next entry's tie-breaker.
         self._seq = 0
         self._live: set = set()
         # Interned value-less timeouts, keyed by delay.  _Timeout is
@@ -515,7 +330,8 @@ class Simulator:
                 f"cannot schedule {delay} units in the past "
                 f"(now={self.now}{self._blame()})")
         self._seq += 1
-        self._push(self.now + delay, self._seq, proc, value, callback)
+        heappush(self._sched, (self.now + delay, self._seq, proc, value,
+                               callback))
 
     def _blame(self) -> str:
         """``", process 'name'"`` when a process is being stepped."""
@@ -567,7 +383,7 @@ class Simulator:
         live processes remain blocked when the queue drains (useful in
         tests of the synchronisation primitives).
         """
-        self._sched.drain(self, None)
+        self._drain(inf)
         if check_deadlock and self._live:
             blocked = sorted(
                 (p.name, p._blocked_on or "?")
@@ -610,12 +426,30 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) is in the past (now={self.now})"
             )
-        self._sched.drain(self, end_time)
+        self._drain(end_time)
         self.now = end_time
+
+    def _drain(self, limit: float) -> None:
+        """Dispatch pending events with ``time <= limit`` in ``(time,
+        seq)`` order, including those the handlers schedule meanwhile.
+
+        An event is popped before it is dispatched, so an exception that
+        escapes a handler leaves exactly the events still to run.
+        """
+        heap = self._sched
+        while heap and heap[0][0] <= limit:
+            time, _, proc, value, callback = heappop(heap)
+            self.now = time
+            if callback is None:
+                proc._step(value)
+            else:
+                self._current = None
+                callback()
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        return self._sched.peek()
+        heap = self._sched
+        return heap[0][0] if heap else None
 
     def blocked_processes(self) -> Iterator[Process]:
         """Yield live processes that have not finished (debug/tests)."""

@@ -124,11 +124,9 @@ def _core_microbench_runner(scenario: Scenario, horizon: Horizon,
     kernel traffic shaped like the models generate it: a dense
     population of small fixed-delay tickers (the dominant event class),
     priority-arbitrated resource contention (the MBus pattern), and a
-    handful of far-future sleepers that force the wheel's overflow
-    path.  Its metrics (events scheduled, grants, queue waits) depend
-    only on pop order, so they pin the event wheel's behaviour, and the
-    equivalence tests also run it on the heap oracle and require equal
-    metrics.
+    handful of far-future sleepers.  Its metrics (events scheduled,
+    grants, queue waits) depend only on the event queue's pop order,
+    so its golden digest pins that order on ~328 concurrent processes.
     """
     sim = Simulator()
     rng = RandomStream(seed, "core.microbench")

@@ -11,8 +11,8 @@ re-interpreting the definition:
 - :class:`repro.verify.model.ModelChecker` explores the N-cache global
   state space on an N-cache rig, step by step.
 
-A rig is built once and re-materialised for every step: building a
-``Simulator`` (its event wheel) costs more than the step itself.
+A rig is built once and re-materialised for every step: building its
+memory, MBus and caches costs more than the step itself.
 
 States are the model checker's version-abstracted
 :data:`GlobalState`: concrete words only matter up to equality, so

@@ -19,7 +19,7 @@ Host speed is not plotted here: the repository's speed instrument is
 from __future__ import annotations
 
 import html as _html
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 _CSS = """
 .ffly {
@@ -96,14 +96,22 @@ def _esc(value) -> str:
     return _html.escape(str(value), quote=True)
 
 
+def latest_rows(ledger_rows: Iterable[Dict]) -> List[Dict]:
+    """The last row of each trial label, in first-seen label order.
+
+    A ledger keeps the rows of superseded git revisions and parameters
+    until ``campaign gc``; only each label's last row is current.
+    """
+    return list({row["label"]: row for row in ledger_rows}.values())
+
+
 def _section_residuals(campaigns: Sequence[Tuple[str, List[Dict]]]) -> str:
     """§5.2 model residuals: measured bus load minus the prediction.
 
     One column per bench trial whose metrics carry
     ``np<N>.load_residual``, keyed by (campaign, trial label) and headed
     by both, so a quick and a full run, or two campaigns' runs of one
-    label, each keep their own column.  A label the ledger holds at
-    several revisions shows its last row.
+    label, each keep their own column.
     """
     residuals: Dict[Tuple[str, str], Dict[int, float]] = {}
     for name, ledger_rows in campaigns:
@@ -249,10 +257,12 @@ def render_dashboard(campaigns: Sequence[Tuple[str, List[Dict]]],
                      title: str = "Firefly observatory") -> str:
     """The full dashboard HTML.
 
-    ``campaigns`` are ``(campaign name, ledger rows)``.  Output is
-    deterministic for identical inputs.
+    ``campaigns`` are ``(campaign name, ledger rows)``; every section
+    shows each ledger's :func:`latest_rows`.  Output is deterministic
+    for identical inputs.
     """
-    campaigns = list(campaigns)
+    campaigns = [(name, latest_rows(ledger_rows))
+                 for name, ledger_rows in campaigns]
     trials = sum(len(ledger_rows) for _, ledger_rows in campaigns)
     sections = [
         f"<h1>{_esc(title)}</h1>",

@@ -12,7 +12,7 @@ definitions:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
 from repro.common.stats import ratio
@@ -49,12 +49,6 @@ class CpuMetrics:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict view (field values only, properties recomputable)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CpuMetrics":
-        """Rebuild from :meth:`to_dict` output (extra keys ignored)."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -133,22 +127,15 @@ class MachineMetrics:
         return instructions / self.window_seconds / 1e3
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; one schema shared with telemetry samples.
+        """JSON-ready dict of the field values, ``cpus`` as a list of
+        :meth:`CpuMetrics.to_dict` dicts (properties are recomputable).
 
-        Benchmark result files and telemetry exports both serialise
-        through this, so downstream tooling parses a single format.
+        The paper benchmarks write their ``benchmarks/results`` JSON
+        through this, and ``fireflybench/`` digests it.
         """
         data = asdict(self)
         data["cpus"] = [cpu.to_dict() for cpu in self.cpus]
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MachineMetrics":
-        """Inverse of :meth:`to_dict` (round-trips exactly)."""
-        names = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in names}
-        kwargs["cpus"] = [CpuMetrics.from_dict(c) for c in data.get("cpus", [])]
-        return cls(**kwargs)
 
     def summary(self) -> str:
         """A human-readable block, in the spirit of Table 2."""

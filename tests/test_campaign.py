@@ -504,6 +504,30 @@ class TestDashboard:
         assert "<tr><td>6 CPU(s)</td><td>—</td><td>-0.0080</td></tr>" \
             in html
 
+    def test_superseded_revisions_are_not_current(self, tmp_path, capsys):
+        # A ledger keeps rev-a's rows beside rev-b's until gc; the
+        # dashboard and the report command's count show rev-b only.
+        from repro.cli import main
+
+        spec = parse_spec({
+            "schema": CAMPAIGN_SCHEMA, "name": "revs", "seeds": [1987],
+            "matrix": [
+                {"kind": "sweep", "processors": 1, "protocol": "firefly",
+                 "warmup": 500, "measure": 1000},
+                {"kind": "bench", "scenarios": ["table1-sweep"],
+                 "quick": True}]})
+        store = CampaignStore(tmp_path / "store")
+        for sha in ("rev-a", "rev-b"):
+            run_campaign_spec(spec, store, sha=sha)
+        out = tmp_path / "dash.html"
+        assert main(["campaign", "report", "--store-dir",
+                     str(store.directory), "--out", str(out)]) == 0
+        assert "1 ledger(s) (2 trial(s))" in capsys.readouterr().out
+        html = out.read_text()
+        assert "2 completed trial(s)" in html
+        assert html.count("sweep/np1/firefly/microvax/s1987") == 1
+        assert "git rev-b</p>" in html
+
     def test_chaos_ledger_rows(self):
         rows = [{"kind": "chaos", "label": "chaos/bus-parity/quick/s1",
                  "git_sha": "abc", "result": {
