@@ -1,12 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
-import hashlib
-import random
-from heapq import heappush
-
 import pytest
 
-from repro.common import events
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.events import Simulator
 
@@ -385,104 +380,3 @@ class TestSchedulingErrorContext:
         assert "-2" in message
         assert "now=7" in message
 
-
-#: Adversarial delay palette: same-tick ties (0 twice), dense small
-#: delays and long ones.  The pinned digests below were computed on the
-#: calendar wheel that preceded the heap, so they hold the heap to that
-#: engine's pop order; 1023 and 1024 straddled the wheel's horizon.
-DELAYS = (0, 0, 1, 1, 2, 3, 7, 64, 1023, 1024, 1500, 4096)
-
-SEEDS = range(1987, 2002)
-
-#: Digest of ``[_schedule_log(seed) for seed in SEEDS]``.
-ADVERSARIAL_DIGEST = "e6eceea710d1189f"
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def _schedule_log(seed: int, until=None) -> list:
-    """Dispatch log of one randomized adversarial schedule.
-
-    The schedule is generated *outside* the simulation from ``seed``:
-    worker processes cycling through pre-drawn delay plans (including
-    zero-delay self-reschedules and same-tick ties) plus bare callback
-    chains with the same delays.
-    """
-    sim = Simulator()
-    rng = random.Random(seed)
-    plans = [[rng.choice(DELAYS) for _ in range(30)] for _ in range(12)]
-    chains = [[rng.choice(DELAYS) for _ in range(10)] for _ in range(6)]
-    log = []
-
-    def worker(wid, plan):
-        for delay in plan:
-            yield sim.timeout(delay)
-            log.append(("proc", wid, sim.now))
-
-    for wid, plan in enumerate(plans):
-        sim.process(worker(wid, plan), name=f"w{wid}")
-
-    def start_chain(cid, offsets):
-        pending = iter(offsets)
-
-        def fire():
-            log.append(("call", cid, sim.now))
-            nxt = next(pending, None)
-            if nxt is not None:
-                sim.call_at(nxt, fire)
-
-        sim.call_at(next(pending), fire)
-
-    for cid, offsets in enumerate(chains):
-        start_chain(cid, offsets)
-
-    if until is None:
-        sim.run()
-    else:
-        sim.run_until(until)
-        log.append(("peek", sim.peek(), sim.now))
-        sim.run()
-    return log
-
-
-class TestPopOrder:
-    """Events pop in ``(time, seq)`` order, pinned by dispatch-log
-    digests: every simulated statistic depends on this order."""
-
-    def test_adversarial_schedules(self):
-        logs = [_schedule_log(seed) for seed in SEEDS]
-        assert sum(map(len, logs)) == 6300
-        assert _digest(logs) == ADVERSARIAL_DIGEST
-
-    def test_run_until_then_run(self):
-        """Partial drains and peek() mid-schedule."""
-        logs = [_schedule_log(seed, until=900) for seed in (1987, 1993)]
-        assert _digest(logs) == "56026760ffee5b89"
-
-    def test_zero_delay_storm(self, sim):
-        """Zero-delay self-reschedules dispatch in schedule order
-        within one tick."""
-        log = []
-
-        def storm(wid):
-            for hop in range(50):
-                yield sim.timeout(0)
-                log.append((wid, hop, sim.now))
-
-        for wid in range(8):
-            sim.process(storm(wid), name=f"s{wid}")
-        sim.run()
-        assert all(entry[2] == 0 for entry in log)
-        assert _digest(log) == "e15eecfaf11ce2cf"
-
-    def test_lifo_ties_change_the_digest(self, monkeypatch):
-        """Mutation check: breaking same-time ties last-in-first-out
-        must move the pinned digest."""
-        def lifo_push(heap, entry):
-            heappush(heap, (entry[0], -entry[1]) + entry[2:])
-
-        monkeypatch.setattr(events, "heappush", lifo_push)
-        logs = [_schedule_log(seed) for seed in SEEDS]
-        assert _digest(logs) != ADVERSARIAL_DIGEST
